@@ -17,12 +17,19 @@ Cardinality-equality heads compile away entirely: for each ground body
 instantiation the element comparisons are already decided, so an instance
 either holds for every model (dropped) or forbids its body atoms (kept as a
 plain ground constraint).
+
+Each statement is compiled once, before its join runs, into closures: a
+matcher per positive atom in join order, an instantiator per negated atom
+and head, a test per comparison (`_Plan`). Comparisons run after the full
+join, in body order, and every cardinality element is evaluated: deciding
+either earlier could skip an instance whose arithmetic raises.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import eq, itemgetter, ne
 
 from .syntax import (
     Anon,
@@ -96,30 +103,7 @@ class GroundProgram:
 
 
 # --------------------------------------------------------------------------
-# Term evaluation and comparison
-
-def eval_term(term: Term, binding: dict[str, GroundValue], source: str = "") -> GroundValue:
-    if isinstance(term, Num):
-        return term.value
-    if isinstance(term, Sym):
-        return term.name
-    if isinstance(term, Var):
-        try:
-            return binding[term.name]
-        except KeyError:
-            raise GroundingError(f"unsafe variable {term.name}", source) from None
-    if isinstance(term, Tup):
-        return tuple(eval_term(t, binding, source) for t in term.items)
-    if isinstance(term, Arith):
-        lhs = eval_term(term.lhs, binding, source)
-        rhs = eval_term(term.rhs, binding, source)
-        if not isinstance(lhs, int) or not isinstance(rhs, int):
-            raise GroundingError("arithmetic over a symbolic constant", source)
-        return lhs + rhs if term.op == "+" else lhs - rhs
-    if isinstance(term, Anon):
-        raise GroundingError("unsafe variable _", source)
-    raise TypeError(f"not a term: {term!r}")
-
+# Comparison
 
 def compare_values(lhs: GroundValue, op: str, rhs: GroundValue) -> bool:
     if op in ("==", "="):
@@ -136,15 +120,6 @@ def compare_values(lhs: GroundValue, op: str, rhs: GroundValue) -> bool:
     if op == ">=":
         return a >= b
     raise ValueError(f"unknown comparison operator {op!r}")
-
-
-def eval_cmp(lit: CmpLit, binding: dict[str, GroundValue], source: str = "") -> bool:
-    value = compare_values(eval_term(lit.lhs, binding, source), lit.op, eval_term(lit.rhs, binding, source))
-    return (not value) if lit.negated else value
-
-
-def instantiate_atom(atom: Atom, binding: dict[str, GroundValue], source: str = "") -> GroundAtom:
-    return GroundAtom(atom.pred, tuple(eval_term(a, binding, source) for a in atom.args))
 
 
 # --------------------------------------------------------------------------
@@ -173,17 +148,6 @@ def _vars_all(term: Term) -> set[str]:
     if isinstance(term, Arith):
         return _vars_all(term.lhs) | _vars_all(term.rhs)
     return set()
-
-
-def _has_anon_outside_binding(term: Term) -> bool:
-    """True when `_` occurs somewhere it cannot simply mean 'match anything'."""
-    if isinstance(term, Anon):
-        return True
-    if isinstance(term, Tup):
-        return any(_has_anon_outside_binding(t) for t in term.items)
-    if isinstance(term, Arith):
-        return _contains_anon(term)
-    return False
 
 
 def _contains_anon(term: Term) -> bool:
@@ -299,7 +263,13 @@ def check_safety(stmt: Statement) -> None:
 
 
 # --------------------------------------------------------------------------
-# Matching positive atoms against a ground-atom index
+# Compiling statements into joins
+#
+# Each body is compiled once, before its join runs, into closures over the
+# binding dict. Which variables the binding holds is fixed at every point of
+# the join order, so each variable occurrence is compiled as either a lookup
+# or a first binding, and a failed match needs no undo: whatever it bound is
+# overwritten before anything reads it.
 
 class _Index:
     def __init__(self):
@@ -313,32 +283,143 @@ class _Index:
         self.by_pred.setdefault((atom.pred, atom.arity), []).append(atom)
         return True
 
-    def bucket(self, pred: str, arity: int) -> list[GroundAtom]:
-        return self.by_pred.get((pred, arity), [])
+
+def _raiser(message: str, source: str):
+    def fail(binding):
+        raise GroundingError(message, source)
+    return fail
 
 
-def _unify_arg(pattern: Term, value: GroundValue, binding: dict, trail: list) -> bool:
+def _term_fn(term: Term, bound: set[str], source: str):
+    """Compile a term into a function of the binding. `bound` names the
+    variables the binding holds whenever the function runs."""
+    if isinstance(term, (Num, Sym)):
+        value = term.value if isinstance(term, Num) else term.name
+        return lambda binding: value
+    if isinstance(term, Var):
+        if term.name in bound:
+            return itemgetter(term.name)
+        return _raiser(f"unsafe variable {term.name}", source)
+    if isinstance(term, Tup):
+        items = term.items
+        if len(items) > 1 and all(isinstance(t, Var) and t.name in bound for t in items):
+            return itemgetter(*(t.name for t in items))
+        fns = [_term_fn(t, bound, source) for t in items]
+        return lambda binding: tuple([f(binding) for f in fns])
+    if isinstance(term, Arith):
+        lhs = _term_fn(term.lhs, bound, source)
+        rhs = _term_fn(term.rhs, bound, source)
+        add = term.op == "+"
+
+        def arith(binding):
+            x = lhs(binding)
+            y = rhs(binding)
+            if not isinstance(x, int) or not isinstance(y, int):
+                raise GroundingError("arithmetic over a symbolic constant", source)
+            return x + y if add else x - y
+        return arith
+    if isinstance(term, Anon):
+        return _raiser("unsafe variable _", source)
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _atom_fn(atom: Atom, bound: set[str], source: str):
+    """Compile an atom into a function from the binding to its ground atom."""
+    pred = atom.pred
+    args = _term_fn(Tup(atom.args), bound, source)
+    return lambda binding: GroundAtom(pred, args(binding))
+
+
+def _test_fn(op: str, negated: bool):
+    """The comparison of two ground values that a comparison literal makes."""
+    if op in ("==", "="):
+        test = eq
+    elif op == "!=":
+        test = ne
+    else:
+        def test(lhs, rhs):
+            return compare_values(lhs, op, rhs)
+    if negated:
+        return lambda lhs, rhs: not test(lhs, rhs)
+    return test
+
+
+def _cmp_fn(lit: CmpLit, bound: set[str], source: str):
+    lhs = _term_fn(lit.lhs, bound, source)
+    rhs = _term_fn(lit.rhs, bound, source)
+    test = _test_fn(lit.op, lit.negated)
+    return lambda binding: test(lhs(binding), rhs(binding))
+
+
+def _step_fn(pattern: Term, bound: set[str]):
+    """Compile one argument pattern of a positive atom into step(value,
+    binding) -> bool, or None when it accepts anything. A variable's first
+    occurrence binds it and is added to `bound`; later ones compare."""
     if isinstance(pattern, Var):
         name = pattern.name
-        if name in binding:
-            return binding[name] == value
-        binding[name] = value
-        trail.append(name)
-        return True
+        if name in bound:
+            return lambda value, binding: binding[name] == value
+        bound.add(name)
+
+        def bind(value, binding):
+            binding[name] = value
+            return True
+        return bind
     if isinstance(pattern, Anon):
-        return True
-    if isinstance(pattern, Num):
-        return isinstance(value, int) and pattern.value == value
-    if isinstance(pattern, Sym):
-        return isinstance(value, str) and pattern.name == value
+        return None
+    # ground values are int, str or tuple, and values of different kinds
+    # never compare equal, so a constant needs no type check
+    if isinstance(pattern, (Num, Sym)):
+        constant = pattern.value if isinstance(pattern, Num) else pattern.name
+        return lambda value, binding: value == constant
     if isinstance(pattern, Tup):
-        if not isinstance(value, tuple) or len(value) != len(pattern.items):
-            return False
-        return all(_unify_arg(t, v, binding, trail) for t, v in zip(pattern.items, value))
+        size = len(pattern.items)
+        steps = _steps(pattern.items, bound)
+
+        def tup(value, binding):
+            if not isinstance(value, tuple) or len(value) != size:
+                return False
+            for i, step in steps:
+                if not step(value[i], binding):
+                    return False
+            return True
+        return tup
     if isinstance(pattern, Arith):
         # arith args cannot bind; their variables must already be bound
-        return eval_term(pattern, binding) == value
-    return False
+        evaluate = _term_fn(pattern, bound, "")
+        return lambda value, binding: evaluate(binding) == value
+    raise TypeError(f"not a term: {pattern!r}")
+
+
+def _steps(patterns: tuple[Term, ...], bound: set[str]) -> list:
+    steps = []
+    for i, pattern in enumerate(patterns):
+        step = _step_fn(pattern, bound)
+        if step is not None:
+            steps.append((i, step))
+    return steps
+
+
+def _match_fn(atom: Atom, bound: set[str]):
+    """Compile a positive atom into match(args, binding) -> bool, which
+    checks a ground atom's arguments and binds first occurrences. Adds the
+    variables it binds to `bound`."""
+    names = [a.name for a in atom.args if isinstance(a, Var)]
+    if len(names) == len(atom.args) and len(set(names)) == len(names) and not bound.intersection(names):
+        bound.update(names)
+
+        def bind_all(values, binding):
+            binding.update(zip(names, values))
+            return True
+        return bind_all
+    steps = _steps(atom.args, bound)
+
+    def match(values, binding):
+        for i, step in steps:
+            if not step(values[i], binding):
+                return False
+        return True
+    return match
 
 
 def _order_for_matching(atoms: list[Atom], initially_bound: set[str], source: str) -> list[Atom]:
@@ -358,30 +439,60 @@ def _order_for_matching(atoms: list[Atom], initially_bound: set[str], source: st
     return ordered
 
 
-def _iter_matches(patterns: list[Atom], index: _Index, binding: dict, matched: list[GroundAtom]):
-    """Yield (binding, matched atoms) for every way the positive patterns can
-    match the index. The binding dict is mutated in place; callers must
-    consume results immediately."""
-    if not patterns:
-        yield binding, matched
-        return
-    first = patterns[0]
-    rest = patterns[1:]
-    args = first.args
-    for ga in index.bucket(first.pred, len(args)):
-        trail: list[str] = []
-        values = ga.args
-        ok = True
-        for p, v in zip(args, values):
-            if not _unify_arg(p, v, binding, trail):
-                ok = False
-                break
-        if ok:
-            matched.append(ga)
-            yield from _iter_matches(rest, index, binding, matched)
-            matched.pop()
-        for name in trail:
-            del binding[name]
+class _Plan:
+    """A body compiled for its join, plus the atom it instantiates.
+
+    levels holds one (predicate key, matcher, choice-dependent) triple per
+    positive atom, in `_order_for_matching`'s order; negs one
+    (choice-dependent, instantiator) pair per negated atom and cmps one test
+    per comparison, both in body order; bound is the set of variables a full
+    match binds."""
+
+    __slots__ = ("levels", "negs", "cmps", "head", "bound")
+
+    def __init__(self, body, dependent, source, bound=frozenset(), head: Atom | None = None):
+        pos, neg, cmps = _split_body(body)
+        bound = set(bound)
+        self.levels = []
+        for atom in _order_for_matching(pos, bound, source):
+            key = (atom.pred, atom.arity)
+            self.levels.append((key, _match_fn(atom, bound), key in dependent))
+        self.negs = [((a.pred, a.arity) in dependent, _atom_fn(a, bound, source)) for a in neg]
+        self.cmps = [_cmp_fn(c, bound, source) for c in cmps]
+        self.head = None if head is None else _atom_fn(head, bound, source)
+        self.bound = bound
+
+    def matches(self, index: _Index, binding: dict):
+        """Yield once for every way the positive atoms match the index,
+        with `binding` extended in place and the matched atoms as a list in
+        level order. Both are reused: consume each result before the next.
+        Buckets are iterated live: an atom appended to a bucket while a
+        level walks it is still matched."""
+        levels = self.levels
+        if not levels:
+            yield []
+            return
+        last = len(levels) - 1
+        matched = [None] * len(levels)
+        buckets = index.by_pred
+        iters = [iter(buckets.get(levels[0][0], ()))] + [None] * last
+        i = 0
+        while True:
+            match = levels[i][1]
+            for ga in iters[i]:
+                if match(ga.args, binding):
+                    matched[i] = ga
+                    break
+            else:
+                if i == 0:
+                    return
+                i -= 1
+                continue
+            if i == last:
+                yield matched
+            else:
+                i += 1
+                iters[i] = iter(buckets.get(levels[i][0], ()))
 
 
 # --------------------------------------------------------------------------
@@ -417,10 +528,30 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
 
     dependent = _dependent_preds(statements)
 
-    facts: set[GroundAtom] = set()
+    # facts in the order they first appear, so that everything grounded
+    # from them comes out in an order that does not depend on hashing
+    facts: dict[GroundAtom, None] = {}
     for stmt in statements:
         if isinstance(stmt, Fact):
-            facts.add(instantiate_atom(stmt.atom, {}, stmt.source_text))
+            facts[_atom_fn(stmt.atom, set(), stmt.source_text)({})] = None
+
+    # Each body is compiled on first use, so an unorderable body raises only
+    # once grounding reaches it, after any error raised before that point.
+    plans: dict[tuple[int, int], _Plan] = {}
+
+    def plan(stmt: Statement, element: int = -1) -> _Plan:
+        key = (id(stmt), element)
+        compiled = plans.get(key)
+        if compiled is None:
+            source = stmt.source_text
+            if element < 0:
+                head = stmt.head if isinstance(stmt, Rule) else None
+                compiled = _Plan(stmt.body, dependent, source, head=head)
+            else:
+                el = stmt.elements[element]
+                compiled = _Plan(el.conditions, dependent, source, plan(stmt).bound, el.atom)
+            plans[key] = compiled
+        return compiled
 
     rules = [s for s in statements if isinstance(s, Rule)]
     independent_rules = [r for r in rules if (r.head.pred, r.head.arity) not in dependent]
@@ -429,22 +560,23 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
     base = _Index()
     for f in facts:
         base.add(f)
-    _close(base, independent_rules, negative_against=base)
+    _close(base, independent_rules, plan, negative_against=base)
 
     # Ground the choice rules; bodies and conditions must stay independent.
     choices: list[GroundChoice] = []
-    for idx, stmt in enumerate(statements):
+    for stmt in statements:
         if not isinstance(stmt, Choice):
             continue
         _require_independent(stmt.body, dependent, stmt.source_text)
         for el in stmt.elements:
             _require_independent(el.conditions, dependent, stmt.source_text)
-        for body_binding, _ in _body_instantiations(stmt.body, base, base, stmt.source_text):
+        for body_binding in _body_instantiations(plan(stmt), base, base, {}):
             candidates: list[GroundAtom] = []
             seen: set[GroundAtom] = set()
-            for el in stmt.elements:
-                for el_binding, _ in _body_instantiations(el.conditions, base, base, stmt.source_text, initial=body_binding):
-                    atom = instantiate_atom(el.atom, el_binding, stmt.source_text)
+            for k in range(len(stmt.elements)):
+                el_plan = plan(stmt, k)
+                for el_binding in _body_instantiations(el_plan, base, base, body_binding):
+                    atom = el_plan.head(el_binding)
                     if atom not in seen:
                         seen.add(atom)
                         candidates.append(atom)
@@ -458,15 +590,15 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
     for ch in choices:
         for c in ch.candidates:
             possible.add(c)
-    _close(possible, rules, negative_against=None)
+    _close(possible, rules, plan, negative_against=None)
 
     # Ground definite rules over the possible atoms.
     ground_rules: list[GroundRule] = []
     seen_rules: set[tuple] = set()
     for stmt in rules:
-        for inst in _residual_instances(stmt.body, possible, base, dependent, stmt.source_text):
-            binding, pos_dep, neg_dep = inst
-            head = instantiate_atom(stmt.head, binding, stmt.source_text)
+        rule_plan = plan(stmt)
+        for binding, pos_dep, neg_dep in _residual_instances(rule_plan, possible, base):
+            head = rule_plan.head(binding)
             key = (head, tuple(pos_dep), tuple(neg_dep))
             if key in seen_rules:
                 continue
@@ -478,24 +610,28 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
     seen_cons: set[tuple] = set()
     for stmt in statements:
         if isinstance(stmt, Constraint):
-            for binding, pos_dep, neg_dep in _residual_instances(stmt.body, possible, base, dependent, stmt.source_text):
+            for _, pos_dep, neg_dep in _residual_instances(plan(stmt), possible, base):
                 _add_constraint(ground_constraints, seen_cons, pos_dep, neg_dep, stmt.source_text)
         elif isinstance(stmt, CardinalityRule):
-            for binding, pos_dep, neg_dep in _residual_instances(stmt.body, possible, base, dependent, stmt.source_text):
+            card_plan = plan(stmt)
+            elements = [
+                (_term_fn(el.lhs, card_plan.bound, stmt.source_text), el.op,
+                 _term_fn(el.rhs, card_plan.bound, stmt.source_text), _test_fn(el.op, el.negated))
+                for el in stmt.elements
+            ]
+            for binding, pos_dep, neg_dep in _residual_instances(card_plan, possible, base):
                 # ground elements form a set: two element comparisons that
                 # instantiate identically collapse to one, as in clingo
                 seen_elements: set[tuple] = set()
                 true_count = 0
-                for el in stmt.elements:
-                    key = (
-                        eval_term(el.lhs, binding, stmt.source_text),
-                        el.op,
-                        eval_term(el.rhs, binding, stmt.source_text),
-                    )
+                for lhs_fn, op, rhs_fn, test in elements:
+                    lhs = lhs_fn(binding)
+                    rhs = rhs_fn(binding)
+                    key = (lhs, op, rhs)
                     if key in seen_elements:
                         continue
                     seen_elements.add(key)
-                    if eval_cmp(el, binding, stmt.source_text):
+                    if test(lhs, rhs):
                         true_count += 1
                 if true_count != stmt.count:
                     _add_constraint(ground_constraints, seen_cons, pos_dep, neg_dep, stmt.source_text)
@@ -526,56 +662,55 @@ def _require_independent(body: tuple[Literal, ...], dependent: set[tuple[str, in
             )
 
 
-def _body_instantiations(body: tuple[Literal, ...], index: _Index, negatives: _Index, source: str, initial: dict | None = None):
-    """All bindings satisfying a fully-independent body. Negated atoms and
-    comparisons are decided against `negatives` (normally the same index)."""
-    pos, neg, cmps = _split_body(body)
-    ordered = _order_for_matching(pos, set(initial or ()), source)
-    binding = dict(initial or {})
-    for b, matched in _iter_matches(ordered, index, binding, []):
-        if any(instantiate_atom(a, b, source) in negatives.atoms for a in neg):
+def _body_instantiations(plan: _Plan, index: _Index, negatives: _Index, initial: dict):
+    """All bindings satisfying a fully-independent body, extending
+    `initial`. Negated atoms and comparisons are decided against `negatives`
+    (normally the same index)."""
+    binding = dict(initial)
+    for _ in plan.matches(index, binding):
+        if any(neg(binding) in negatives.atoms for _, neg in plan.negs):
             continue
-        if not all(eval_cmp(c, b, source) for c in cmps):
+        if not all(cmp(binding) for cmp in plan.cmps):
             continue
-        yield dict(b), list(matched)
+        yield dict(binding)
 
 
-def _residual_instances(body: tuple[Literal, ...], possible: _Index, base: _Index, dependent: set, source: str):
+def _residual_instances(plan: _Plan, possible: _Index, base: _Index):
     """Instantiate a body over the possible atoms, resolving independent
     literals against the deterministic base. Yields (binding, pos_residue,
-    neg_residue) for instances that can still fire in some model."""
-    pos, neg, cmps = _split_body(body)
-    ordered = _order_for_matching(pos, set(), source)
+    neg_residue) for instances that can still fire in some model; the
+    binding is reused, so consume it before the next instance."""
+    levels = plan.levels
+    cmps = plan.cmps
+    negs = plan.negs
+    base_atoms = base.atoms
     binding: dict[str, GroundValue] = {}
-    for b, matched in _iter_matches(ordered, possible, binding, []):
-        if not all(eval_cmp(c, b, source) for c in cmps):
-            continue
-        pos_dep: list[GroundAtom] = []
-        dead = False
-        for ga in matched:
-            if (ga.pred, ga.arity) in dependent:
-                if ga not in pos_dep:
-                    pos_dep.append(ga)
-            elif ga not in base.atoms:
-                dead = True  # independent atom that can never be true
+    for matched in plan.matches(possible, binding):
+        for cmp in cmps:
+            if not cmp(binding):
                 break
-        if dead:
-            continue
-        neg_dep: list[GroundAtom] = []
-        for atom in neg:
-            ga = instantiate_atom(atom, b, source)
-            if (ga.pred, ga.arity) in dependent:
-                if ga not in neg_dep:
-                    neg_dep.append(ga)
-            elif ga in base.atoms:
-                dead = True  # negated independent atom that is always true
-                break
-        if dead:
-            continue
-        yield dict(b), pos_dep, neg_dep
+        else:
+            pos_dep: list[GroundAtom] = []
+            for (_, _, dep), ga in zip(levels, matched):
+                if dep:
+                    if ga not in pos_dep:
+                        pos_dep.append(ga)
+                elif ga not in base_atoms:
+                    break  # independent atom that can never be true
+            else:
+                neg_dep: list[GroundAtom] = []
+                for dep, neg in negs:
+                    ga = neg(binding)
+                    if dep:
+                        if ga not in neg_dep:
+                            neg_dep.append(ga)
+                    elif ga in base_atoms:
+                        break  # negated independent atom that is always true
+                else:
+                    yield binding, pos_dep, neg_dep
 
 
-def _close(index: _Index, rules: list[Rule], negative_against: _Index | None) -> None:
+def _close(index: _Index, rules: list[Rule], plan, negative_against: _Index | None) -> None:
     """Forward-chain rule heads into the index until fixpoint. When
     negative_against is None the closure is optimistic: negated atoms are
     assumed satisfiable (used for the possible-atom over-approximation)."""
@@ -583,16 +718,14 @@ def _close(index: _Index, rules: list[Rule], negative_against: _Index | None) ->
     while changed:
         changed = False
         for rule in rules:
-            pos, neg, cmps = _split_body(rule.body)
-            ordered = _order_for_matching(pos, set(), rule.source_text)
+            rule_plan = plan(rule)
             binding: dict[str, GroundValue] = {}
-            for b, _ in _iter_matches(ordered, index, binding, []):
+            for _ in rule_plan.matches(index, binding):
                 if negative_against is not None and any(
-                    instantiate_atom(a, b, rule.source_text) in negative_against.atoms for a in neg
+                    neg(binding) in negative_against.atoms for _, neg in rule_plan.negs
                 ):
                     continue
-                if not all(eval_cmp(c, b, rule.source_text) for c in cmps):
+                if not all(cmp(binding) for cmp in rule_plan.cmps):
                     continue
-                head = instantiate_atom(rule.head, b, rule.source_text)
-                if index.add(head):
+                if index.add(rule_plan.head(binding)):
                     changed = True

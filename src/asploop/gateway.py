@@ -88,18 +88,36 @@ def _error_verdict(diagnostics: list[str], wall_time: float = 0.0) -> SolverVerd
 
 @functools.lru_cache(maxsize=512)
 def _solve_in_process(text: str, cap: int, node_budget: int | None):
-    """Returns (models tuple, exhausted, error diagnostics tuple)."""
+    """Returns (models tuple, exhausted, error diagnostics tuple,
+    unsupported): unsupported is true when the parse reported only
+    out-of-fragment constructs, whose diagnostics are then the errors."""
     result = parse_program(text)
     if result.errors:
-        return (), True, tuple(str(d) for d in result.errors)
+        return (), True, tuple(str(d) for d in result.errors), False
     if result.unsupported:
-        return (), True, tuple(str(d) for d in result.unsupported)
+        return (), True, tuple(str(d) for d in result.unsupported), True
     try:
         gp = ground_program(result.statements)
         models, exhausted = enumerate_models(gp, cap=cap, node_budget=node_budget)
     except (GroundingError, EnumerationBudgetError) as exc:
-        return (), True, (str(exc),)
-    return tuple(models), exhausted, ()
+        return (), True, (str(exc),), False
+    return tuple(models), exhausted, (), False
+
+
+def _internal_verdict(models: tuple, error_diags: tuple, cap: int, elapsed: float) -> SolverVerdict:
+    if error_diags:
+        return _error_verdict(list(error_diags), elapsed)
+    model_list = list(models)
+    if len(model_list) > cap:
+        return SolverVerdict(
+            models=model_list,
+            model_count=len(model_list),
+            cap_exceeded=True,
+            wall_time=elapsed,
+        )
+    if not model_list:
+        return SolverVerdict(models=[], model_count=0, is_unsat=True, wall_time=elapsed)
+    return SolverVerdict(models=model_list, model_count=len(model_list), wall_time=elapsed)
 
 
 class SolverGateway:
@@ -141,44 +159,25 @@ class SolverGateway:
     def solve(self, program_text: str, cap: int | None = None, backend: str | None = None) -> SolverVerdict:
         cap = self.cap if cap is None else cap
         backend = backend or self.backend
-        if backend == "internal":
-            return self._solve_internal(program_text, cap)
         if backend == "external":
             if not self.solver_cmd:
                 raise SolverConfigError(
                     f"external backend needs a solver command; pass solver_cmd or set {SOLVER_CMD_ENV}"
                 )
             return self._solve_external(program_text, cap)
-        # auto: prefer in-process, fall back on unsupported constructs
-        result = parse_program(program_text)
-        if result.unsupported and not result.errors:
+        # internal, and auto, which prefers in-process and falls back on
+        # unsupported constructs: both take the one cached parse
+        t0 = time.perf_counter()
+        models, _, error_diags, unsupported = _solve_in_process(program_text, cap, self.node_budget)
+        elapsed = time.perf_counter() - t0
+        if backend == "auto" and unsupported:
             if self.solver_cmd:
                 return self._solve_external(program_text, cap)
             return _error_verdict(
-                [str(d) for d in result.unsupported]
+                list(error_diags)
                 + [f"no external solver configured (set {SOLVER_CMD_ENV}) for out-of-fragment programs"],
             )
-        return self._solve_internal(program_text, cap)
-
-    # -- internal ----------------------------------------------------------
-
-    def _solve_internal(self, text: str, cap: int) -> SolverVerdict:
-        t0 = time.perf_counter()
-        models, exhausted, error_diags = _solve_in_process(text, cap, self.node_budget)
-        elapsed = time.perf_counter() - t0
-        if error_diags:
-            return _error_verdict(list(error_diags), elapsed)
-        model_list = list(models)
-        if len(model_list) > cap:
-            return SolverVerdict(
-                models=model_list,
-                model_count=len(model_list),
-                cap_exceeded=True,
-                wall_time=elapsed,
-            )
-        if not model_list:
-            return SolverVerdict(models=[], model_count=0, is_unsat=True, wall_time=elapsed)
-        return SolverVerdict(models=model_list, model_count=len(model_list), wall_time=elapsed)
+        return _internal_verdict(models, error_diags, cap, elapsed)
 
     # -- external ----------------------------------------------------------
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import asploop
 from asploop.asp import (
     BruteForceRefusal,
     EnumerationBudgetError,
@@ -163,6 +169,59 @@ def test_unsafe_head_variable_is_a_grounding_error():
     result = parse_program("q(X, Y) :- item(X).")
     with pytest.raises(GroundingError, match="unsafe variable"):
         ground_program(result.statements)
+
+
+# Join shapes the compiled matcher handles itself: a repeated variable in one
+# atom, a tuple pattern with an anonymous part, arithmetic in a positive
+# atom, ordering across numbers and symbols, and arithmetic over a symbolic
+# constant from a rule head, a body comparison and a cardinality element.
+# Each case gives its models projected on one predicate, or the error.
+JOIN_CASES = [
+    ("e(1,1). e(1,2). e(2,2). loop(X) :- e(X, X).", "loop", {("loop(1)", "loop(2)")}),
+    ("p((a,1)). p((b,2)). p(c). q(X) :- p((X, _)).", "q", {("q(a)", "q(b)")}),
+    ("n(1;2;3). m(2;3;4). s(X) :- n(X), m(X+1).", "s", {("s(1)", "s(2)", "s(3)")}),
+    ("v(1;a). 1 {s(X) : v(X)} 1. :- s(X), X < a.", "s", {("s(a)",)}),
+    ("v(1;a). w(X+1) :- v(X).", "w", "arithmetic over a symbolic constant"),
+    ("v(1;a). w(X) :- v(X), X + 1 > 0.", "w", "arithmetic over a symbolic constant"),
+    # the instance for 1 already has one true element, one more than the
+    # count, and its second element must still be evaluated for `a`
+    ("v(1;a). {X = X; X + 1 = 5} = 0 :- v(X).", "v", "arithmetic over a symbolic constant"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, pred, expected", JOIN_CASES, ids=[f"case{i}" for i in range(len(JOIN_CASES))]
+)
+def test_compiled_join_shapes(text, pred, expected):
+    if isinstance(expected, str):
+        with pytest.raises(GroundingError, match=expected):
+            grounded(text)
+        return
+    shown = {tuple(sorted(a for a in model if a.startswith(pred + "("))) for model in models_of(text)}
+    assert shown == expected
+
+
+def test_ground_order_does_not_depend_on_string_hashing():
+    script = (
+        "import json\n"
+        "from asploop import fixtures\n"
+        "from asploop.asp import ground_program, parse_program\n"
+        "text = fixtures.reference_blocks('event_planning').full_program\n"
+        "gp = ground_program(parse_program(text).statements)\n"
+        "print(json.dumps([[str(r.head), list(map(str, r.pos)), list(map(str, r.neg))] for r in gp.rules]))\n"
+        "print(json.dumps([[list(map(str, c.pos)), list(map(str, c.neg))] for c in gp.constraints]))\n"
+    )
+    src = str(Path(asploop.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("7", "8"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0].splitlines()[1])) > 1000
 
 
 def test_brute_force_refuses_large_spaces():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from asploop import fixtures
-from asploop.asp import parse_program
+from asploop.asp import ground_program, parse_program
 from asploop.gateway import SolverGateway
 from asploop.matching import normalize_surface
 
@@ -69,6 +69,28 @@ def test_base_programs_count_permutation_spaces(corpus, gateway):
         blocks = fixtures.reference_blocks(instance.id)
         verdict = gateway.solve(blocks.base)
         assert verdict.model_count == instance.expected_model_count, instance.id
+
+
+# (possible atoms, ground rules, ground constraints, choice candidates) of
+# each reference encoding's base and full program
+GROUND_SIZES = [
+    ("event_planning", (76, 0, 1152, 64), (76, 0, 1302, 64)),
+    ("tattoo_parlor", (272, 0, 22272, 256), (272, 0, 25188, 256)),
+    ("observatory", (76, 0, 1152, 64), (76, 0, 1274, 64)),
+    ("marina_berths", (76, 0, 1152, 64), (76, 0, 1401, 64)),
+    ("science_fair", (36, 0, 243, 27), (36, 0, 271, 27)),
+    ("harbor_cruises", (272, 0, 22272, 256), (272, 0, 25455, 256)),
+    ("chess_club", (24, 0, 48, 16), (24, 0, 62, 16)),
+]
+
+
+@pytest.mark.parametrize("instance_id, base, full", GROUND_SIZES, ids=[row[0] for row in GROUND_SIZES])
+def test_reference_ground_sizes(instance_id, base, full):
+    blocks = fixtures.reference_blocks(instance_id)
+    for text, expected in ((blocks.base, base), (blocks.full_program, full)):
+        gp = ground_program(parse_program(text).statements)
+        sizes = (len(gp.possible), len(gp.rules), len(gp.constraints), gp.choice_candidate_count)
+        assert sizes == expected
 
 
 def test_solution_rows_come_from_the_unique_model(corpus, gateway):

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from asploop.asp import render_ground_atom
+from asploop import gateway as gateway_mod
+from asploop.asp import parse_program, render_ground_atom
 from asploop.gateway import (
     DEFAULT_CAP,
     SolverConfigError,
@@ -91,6 +92,28 @@ def test_auto_backend_without_command_runs_in_process(monkeypatch):
     monkeypatch.delenv("ASPLOOP_SOLVER_CMD", raising=False)
     gateway = SolverGateway(backend="auto")
     assert gateway.solve(GOLDEN).flagless
+
+
+def test_auto_backend_parses_each_program_once(monkeypatch):
+    monkeypatch.delenv("ASPLOOP_SOLVER_CMD", raising=False)
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_program(text)
+
+    monkeypatch.setattr(gateway_mod, "parse_program", counting_parse)
+    gateway = SolverGateway(backend="auto")
+    # texts no other test solves, so the in-process cache starts cold
+    text = "parse_once(a;b). 1 {pick(X) : parse_once(X)} 1."
+    assert gateway.solve(text).model_count == 2
+    assert len(calls) == 1
+    assert gateway.solve(text).model_count == 2
+    assert len(calls) == 1
+    unsupported = gateway.solve("parse_once(a). #show parse_once/1.")
+    assert unsupported.has_error
+    assert "no external solver configured" in unsupported.diagnostics[-1]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("cmd", [REFSOLVER_CMD_STR, REFSOLVER_CMD], ids=["str", "list"])
