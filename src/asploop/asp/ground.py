@@ -23,10 +23,15 @@ matcher per positive atom in join order, an instantiator per negated atom
 and head, a test per comparison (`_Plan`). Comparisons run after the full
 join, in body order, and every cardinality element is evaluated: deciding
 either earlier could skip an instance whose arithmetic raises.
+
+The Fact, Rule and Choice statements are grounded once per content and the
+last result kept (`_ground_skeleton`); each constraint statement is grounded
+against it once, so candidates adding constraints to one prefix share it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import eq, itemgetter, ne
@@ -525,7 +530,40 @@ def _dependent_preds(statements: list[Statement]) -> set[tuple[str, int]]:
 def ground_program(statements: list[Statement]) -> GroundProgram:
     for stmt in statements:
         check_safety(stmt)
+    skeleton = _ground_skeleton(tuple(
+        (stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Fact, Rule, Choice))
+    ))
+    constraints: list[GroundConstraint] = []
+    seen: set[tuple] = set()
+    for stmt in statements:
+        if isinstance(stmt, (Constraint, CardinalityRule)):
+            key = (stmt, stmt.source_text)
+            if key not in skeleton.constraints:
+                # errors are not stored; threads racing here store equal lists
+                skeleton.constraints[key] = _ground_constraints(stmt, skeleton)
+            for cons in skeleton.constraints[key]:
+                _add_constraint(constraints, seen, cons)
+    gp = skeleton.program
+    return GroundProgram(gp.facts, list(gp.choices), list(gp.rules), constraints, gp.possible)
 
+
+@dataclass
+class _Skeleton:
+    """Fact, Rule and Choice statements grounded (`program`, no constraints),
+    the indices constraint statements are grounded against, and each one's
+    ground constraints so far, keyed by (statement, source text)."""
+
+    program: GroundProgram
+    dependent: set[tuple[str, int]]
+    base: _Index
+    possible: _Index
+    constraints: dict[tuple[Statement, str], list[GroundConstraint]] = field(default_factory=dict)
+
+
+@functools.lru_cache(maxsize=1)
+def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
+    """Ground the Fact, Rule and Choice statements that `key` lists."""
+    statements = [stmt for stmt, _ in key]
     dependent = _dependent_preds(statements)
 
     # facts in the order they first appear, so that everything grounded
@@ -537,6 +575,7 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
 
     # Each body is compiled on first use, so an unorderable body raises only
     # once grounding reaches it, after any error raised before that point.
+    # The key holds every statement, so their ids stay unique while it runs.
     plans: dict[tuple[int, int], _Plan] = {}
 
     def plan(stmt: Statement, element: int = -1) -> _Plan:
@@ -605,52 +644,49 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
             seen_rules.add(key)
             ground_rules.append(GroundRule(head, tuple(pos_dep), tuple(neg_dep), stmt.source_text))
 
-    # Constraints and cardinality-equality heads both land as ground constraints.
-    ground_constraints: list[GroundConstraint] = []
-    seen_cons: set[tuple] = set()
-    for stmt in statements:
-        if isinstance(stmt, Constraint):
-            for _, pos_dep, neg_dep in _residual_instances(plan(stmt), possible, base):
-                _add_constraint(ground_constraints, seen_cons, pos_dep, neg_dep, stmt.source_text)
-        elif isinstance(stmt, CardinalityRule):
-            card_plan = plan(stmt)
-            elements = [
-                (_term_fn(el.lhs, card_plan.bound, stmt.source_text), el.op,
-                 _term_fn(el.rhs, card_plan.bound, stmt.source_text), _test_fn(el.op, el.negated))
-                for el in stmt.elements
-            ]
-            for binding, pos_dep, neg_dep in _residual_instances(card_plan, possible, base):
-                # ground elements form a set: two element comparisons that
-                # instantiate identically collapse to one, as in clingo
-                seen_elements: set[tuple] = set()
-                true_count = 0
-                for lhs_fn, op, rhs_fn, test in elements:
-                    lhs = lhs_fn(binding)
-                    rhs = rhs_fn(binding)
-                    key = (lhs, op, rhs)
-                    if key in seen_elements:
-                        continue
-                    seen_elements.add(key)
-                    if test(lhs, rhs):
-                        true_count += 1
-                if true_count != stmt.count:
-                    _add_constraint(ground_constraints, seen_cons, pos_dep, neg_dep, stmt.source_text)
-
-    return GroundProgram(
-        facts=frozenset(facts),
-        choices=choices,
-        rules=ground_rules,
-        constraints=ground_constraints,
-        possible=frozenset(possible.atoms),
-    )
+    program = GroundProgram(frozenset(facts), choices, ground_rules, [], frozenset(possible.atoms))
+    return _Skeleton(program, dependent, base, possible)
 
 
-def _add_constraint(out: list[GroundConstraint], seen: set, pos, neg, source: str) -> None:
-    key = (frozenset(pos), frozenset(neg))
-    if key in seen:
-        return
-    seen.add(key)
-    out.append(GroundConstraint(tuple(pos), tuple(neg), source))
+def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton) -> list[GroundConstraint]:
+    """A constraint's instances, or a cardinality-equality head's instances
+    whose count is off, as ground constraints: in order, each pair once."""
+    source = stmt.source_text
+    stmt_plan = _Plan(stmt.body, skeleton.dependent, source)
+    is_constraint = isinstance(stmt, Constraint)
+    elements = [] if is_constraint else [
+        (_term_fn(el.lhs, stmt_plan.bound, source), el.op,
+         _term_fn(el.rhs, stmt_plan.bound, source), _test_fn(el.op, el.negated))
+        for el in stmt.elements
+    ]
+    out: list[GroundConstraint] = []
+    seen: set[tuple] = set()
+    for binding, pos_dep, neg_dep in _residual_instances(stmt_plan, skeleton.possible, skeleton.base):
+        if not is_constraint:
+            # ground elements form a set: two element comparisons that
+            # instantiate identically collapse to one, as in clingo
+            seen_elements: set[tuple] = set()
+            true_count = 0
+            for lhs_fn, op, rhs_fn, test in elements:
+                lhs = lhs_fn(binding)
+                rhs = rhs_fn(binding)
+                key = (lhs, op, rhs)
+                if key in seen_elements:
+                    continue
+                seen_elements.add(key)
+                if test(lhs, rhs):
+                    true_count += 1
+            if true_count == stmt.count:
+                continue
+        _add_constraint(out, seen, GroundConstraint(tuple(pos_dep), tuple(neg_dep), source))
+    return out
+
+
+def _add_constraint(out: list[GroundConstraint], seen: set, cons: GroundConstraint) -> None:
+    key = (frozenset(cons.pos), frozenset(cons.neg))
+    if key not in seen:
+        seen.add(key)
+        out.append(cons)
 
 
 def _require_independent(body: tuple[Literal, ...], dependent: set[tuple[str, int]], source: str) -> None:

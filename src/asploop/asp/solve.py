@@ -181,13 +181,15 @@ def _complete_model(comp: _Compiled, selected: set[int]) -> frozenset[int] | Non
     return frozenset(model)
 
 
-def _model_sort_key(comp: _Compiled, model: frozenset[int]):
-    return tuple(sorted(ground_atom_key(comp.atom_of[i]) for i in model))
-
-
 def _externalize(comp: _Compiled, models: list[frozenset[int]]) -> list[frozenset[GroundAtom]]:
-    models = sorted(set(models), key=lambda m: _model_sort_key(comp, m))
-    return [frozenset(comp.atom_of[i] for i in m) for m in models]
+    """Sort models by their sorted atom keys. Atoms are ranked once by
+    `ground_atom_key`, and a model sorts by its sorted ranks, the same order."""
+    atom_of = comp.atom_of
+    rank = [0] * len(atom_of)
+    for r, i in enumerate(sorted(range(len(atom_of)), key=lambda i: ground_atom_key(atom_of[i]))):
+        rank[i] = r
+    models = sorted(set(models), key=lambda m: sorted([rank[i] for i in m]))
+    return [frozenset(atom_of[i] for i in m) for m in models]
 
 
 def enumerate_models(
@@ -248,7 +250,13 @@ def enumerate_models(
                 current.discard(a)
         return True
 
-    walk(0)
+    try:
+        walk(0)
+    finally:
+        # walk refers to itself; without this the search state (the compiled
+        # program, the models found) stays in a reference cycle until the
+        # next full garbage collection
+        del walk
     return _externalize(comp, list(found)), exhausted
 
 

@@ -20,6 +20,7 @@ from asploop.asp import (
     parse_program,
     render_ground_atom,
 )
+from asploop.asp.ground import _ground_skeleton
 from asploop.datagen import DfsConfig, run_dfs
 from asploop.gateway import SolverGateway, SolverVerdict
 from asploop.generators import ScriptedGenerator
@@ -39,6 +40,7 @@ EVENT_ATOMS = {
 
 def fresh_caches():
     gateway_mod._solve_in_process.cache_clear()
+    _ground_skeleton.cache_clear()
 
 
 def flags_of(verdict):

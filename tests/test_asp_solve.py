@@ -3,14 +3,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import asploop
+from asploop import fixtures
 from asploop.asp import (
     BruteForceRefusal,
     EnumerationBudgetError,
@@ -23,6 +26,7 @@ from asploop.asp import (
     parse_program,
     render_ground_atom,
 )
+from asploop.asp.ground import _ground_skeleton
 
 
 def grounded(text):
@@ -222,6 +226,130 @@ def test_ground_order_does_not_depend_on_string_hashing():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[0].splitlines()[1])) > 1000
+
+
+# --------------------------------------------------------------------------
+# The skeleton cache: facts, rules and choices are grounded once per content,
+# constraint statements once per skeleton
+
+def ground_snapshot(text):
+    """The ordered ground program, sources included, or the error message."""
+    try:
+        gp = grounded(text)
+    except GroundingError as exc:
+        return f"GroundingError: {exc}"
+    return (
+        gp.facts,
+        gp.possible,
+        tuple((c.lower, c.upper, c.candidates, c.source) for c in gp.choices),
+        tuple((r.head, r.pos, r.neg, r.source) for r in gp.rules),
+        tuple((c.pos, c.neg, c.source) for c in gp.constraints),
+    )
+
+
+def reference_prefixes(instance_ids=None):
+    """Every puzzle's base plus its first k hints, for each k."""
+    out = []
+    for instance_id in instance_ids or [instance.id for instance in fixtures.puzzles()]:
+        blocks = fixtures.reference_blocks(instance_id)
+        out += ["\n\n".join((blocks.base, *blocks.hints[:k])) for k in range(len(blocks.hints) + 1)]
+    return out
+
+
+def test_warm_ground_equals_cold_ground():
+    programs = reference_prefixes() + [text for _, text in fixtures.crosscheck_programs()]
+    assert len(programs) == 41 + 23
+    # hashes, not snapshots: keeping 64 cold snapshots would keep every
+    # ground constraint of every prefix alive at once
+    cold = {}
+    for text in programs:
+        _ground_skeleton.cache_clear()
+        cold[text] = hash(ground_snapshot(text))
+    shuffled = list(programs)
+    random.Random(4).shuffle(shuffled)
+    _ground_skeleton.cache_clear()
+    for text in programs + shuffled:
+        assert hash(ground_snapshot(text)) == cold[text], text
+
+
+def test_threads_sharing_the_skeleton_cache_get_the_cold_result():
+    programs = reference_prefixes(["event_planning", "chess_club"])
+    cold = {}
+    for text in programs:
+        _ground_skeleton.cache_clear()
+        cold[text] = ground_snapshot(text)
+    _ground_skeleton.cache_clear()
+
+    def work(seed):
+        order = programs * 3
+        random.Random(seed).shuffle(order)
+        return [text for text in order if ground_snapshot(text) != cold[text]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, seed) for seed in range(4)]
+            mismatches = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == [[]] * 4
+
+
+DELTA_BASE = "v(1;2;3). 1 {s(X) : v(X)} 1. "
+
+# (programs grounded one after another, how many of them raise, how many
+# skeletons the sequence grounds)
+DELTA_CASES = {
+    "error-raised-again": (
+        [DELTA_BASE, DELTA_BASE + ":- s(X), X + a > 1.", DELTA_BASE + ":- s(X), X + a > 1."], 2, 1,
+    ),
+    "fact-or-rule-hint": (
+        [DELTA_BASE, DELTA_BASE + "v(4).", DELTA_BASE + "w(X) :- s(X). :- w(2)."], 0, 3,
+    ),
+    # equal statements whose source texts differ
+    "same-constraint-other-text": (
+        [DELTA_BASE + ":- s(X), X > 2.", DELTA_BASE + ":- s(X), (X) > 2."], 0, 1,
+    ),
+    "hint-appended-twice": (
+        [DELTA_BASE + ":- s(1).", DELTA_BASE + ":- s(1). :- s(1).", DELTA_BASE + ":- s(1). :- s(X), X < 2."],
+        0, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("programs, errors, skeletons", DELTA_CASES.values(), ids=DELTA_CASES.keys())
+def test_constraint_delta_on_a_warm_skeleton(programs, errors, skeletons):
+    cold = []
+    for text in programs:
+        _ground_skeleton.cache_clear()
+        cold.append(ground_snapshot(text))
+    _ground_skeleton.cache_clear()
+    warm = [ground_snapshot(text) for text in programs]
+    assert warm == cold
+    assert _ground_skeleton.cache_info().misses == skeletons
+    failed = [snap for snap in warm if isinstance(snap, str)]
+    assert len(failed) == errors
+    assert all("arithmetic over a symbolic constant" in snap for snap in failed)
+    for snap in warm:
+        if not isinstance(snap, str):
+            constraints = snap[4]
+            assert len({(frozenset(p), frozenset(n)) for p, n, _ in constraints}) == len(constraints)
+
+
+def test_same_constraint_keeps_each_programs_source():
+    _ground_skeleton.cache_clear()
+    sources = [{c.source for c in grounded(DELTA_BASE + text).constraints} for text in
+               (":- s(X), X > 2.", ":- s(X), (X) > 2.")]
+    assert sources == [{":- s ( X ) , X > 2 ."}, {":- s ( X ) , ( X ) > 2 ."}]
+
+
+@pytest.mark.parametrize("instance_id", ["tattoo_parlor", "harbor_cruises"])
+def test_models_come_sorted_by_their_sorted_atom_keys(instance_id):
+    models, exhausted = enumerate_models(grounded(fixtures.reference_blocks(instance_id).base))
+    assert exhausted
+    assert len(models) == fixtures.puzzle(instance_id).expected_model_count
+    assert models == sorted(models, key=lambda m: tuple(sorted(ground_atom_key(a) for a in m)))
 
 
 def test_brute_force_refuses_large_spaces():
