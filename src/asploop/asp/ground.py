@@ -609,12 +609,12 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
         _require_independent(stmt.body, dependent, stmt.source_text)
         for el in stmt.elements:
             _require_independent(el.conditions, dependent, stmt.source_text)
-        for body_binding in _body_instantiations(plan(stmt), base, base, {}):
+        for body_binding in _body_instantiations(plan(stmt), base, {}):
             candidates: list[GroundAtom] = []
             seen: set[GroundAtom] = set()
             for k in range(len(stmt.elements)):
                 el_plan = plan(stmt, k)
-                for el_binding in _body_instantiations(el_plan, base, base, body_binding):
+                for el_binding in _body_instantiations(el_plan, base, body_binding):
                     atom = el_plan.head(el_binding)
                     if atom not in seen:
                         seen.add(atom)
@@ -698,13 +698,12 @@ def _require_independent(body: tuple[Literal, ...], dependent: set[tuple[str, in
             )
 
 
-def _body_instantiations(plan: _Plan, index: _Index, negatives: _Index, initial: dict):
-    """All bindings satisfying a fully-independent body, extending
-    `initial`. Negated atoms and comparisons are decided against `negatives`
-    (normally the same index)."""
+def _body_instantiations(plan: _Plan, index: _Index, initial: dict):
+    """All bindings satisfying a fully-independent body over `index`,
+    extending `initial`."""
     binding = dict(initial)
     for _ in plan.matches(index, binding):
-        if any(neg(binding) in negatives.atoms for _, neg in plan.negs):
+        if any(neg(binding) in index.atoms for _, neg in plan.negs):
             continue
         if not all(cmp(binding) for cmp in plan.cmps):
             continue

@@ -165,10 +165,6 @@ def _emit(
                 )
 
 
-class _DfsAbort(Exception):
-    pass
-
-
 def run_dfs(
     instance: PuzzleInstance,
     generator: Generator,
@@ -204,92 +200,62 @@ def run_dfs(
             "aborted_reason": aborted_reason,
         }
 
-    base_prompt = build_base_prompt(instance, config.shots, config.preamble)
-    try:
-        base_candidates = generate(
-            generator, base_prompt, config.n_samples, config.temperature
+    def record(prompt: str, candidates: list[CandidateEncoding], step_index: int,
+               branch_id: str, hint_pos: int | None) -> list[CandidateEncoding]:
+        """Split a labeled pool, add its stats row and records; returns the
+        chosen candidates."""
+        chosen = [c for c in candidates if c.label == "chosen"]
+        rejected = [c for c in candidates if c.label == "rejected"]
+        step_rows.append(
+            {"step": step_index, "branch": branch_id, "hint": hint_pos,
+             "chosen": len(chosen), "rejected": len(rejected)}
         )
-    except GeneratorError as exc:
-        logger.warning("datagen aborted for %s: %s", instance.id, exc)
-        return [], [], stats(aborted_reason=str(exc))
+        _emit(sft, pref, prompt, chosen, rejected, instance.id, step_index, branch_id,
+              config.max_chosen_branch)
+        return chosen
 
-    for candidate in base_candidates:
-        classify_base(candidate, instance, cap, gateway)
-    chosen = [c for c in base_candidates if c.label == "chosen"]
-    rejected = [c for c in base_candidates if c.label == "rejected"]
-    step_rows.append(
-        {"step": 0, "branch": "", "hint": None,
-         "chosen": len(chosen), "rejected": len(rejected)}
-    )
-    _emit(sft, pref, base_prompt, chosen, rejected, instance.id, 0, "",
-          config.max_chosen_branch)
-    if not chosen:
-        logger.warning("datagen aborted for %s: no usable base encoding", instance.id)
-        return sft, pref, stats(aborted_reason="no usable base encoding")
+    def branch(trajectory: Trajectory, input_text: str, candidates: list[CandidateEncoding],
+               chosen: list[CandidateEncoding], step_index: int, branch_id: str,
+               next_hint: int) -> None:
+        """Continue the walk once per branching chosen candidate, each on its
+        own copy of the trajectory with that candidate selected."""
+        for branch_index, candidate in enumerate(chosen[: config.max_chosen_branch]):
+            selected_index = next(i for i, c in enumerate(candidates) if c is candidate)
+            child = Trajectory(
+                instance_ref=instance.id,
+                steps=[*trajectory.steps, Step(input_text, candidates, selected_index)],
+                dropped_hints=list(trajectory.dropped_hints),
+            )
+            child_branch = f"{branch_id}.{branch_index}" if branch_id else str(branch_index)
+            walk(child, next_hint, step_index + 1, child_branch)
 
     def walk(trajectory: Trajectory, hint_pos: int, step_index: int, branch_id: str):
         if hint_pos >= len(instance.hints):
             return
         hint = instance.hints[hint_pos]
         prompt = build_hint_prompt(trajectory, hint)
-        try:
-            candidates = generate(generator, prompt, config.n_samples, config.temperature)
-        except GeneratorError as exc:
-            raise _DfsAbort(str(exc)) from exc
+        candidates = generate(generator, prompt, config.n_samples, config.temperature)
         predicate = target_predicate_for(trajectory.steps[0].selected.text)
         for candidate in candidates:
             classify(candidate, trajectory, instance, cap, gateway, predicate)
-        step_chosen = [c for c in candidates if c.label == "chosen"]
-        step_rejected = [c for c in candidates if c.label == "rejected"]
-        step_rows.append(
-            {
-                "step": step_index,
-                "branch": branch_id,
-                "hint": hint_pos,
-                "chosen": len(step_chosen),
-                "rejected": len(step_rejected),
-            }
-        )
-        _emit(sft, pref, prompt, step_chosen, step_rejected, instance.id, step_index,
-              branch_id, config.max_chosen_branch)
-        if not step_chosen:
+        chosen = record(prompt, candidates, step_index, branch_id, hint_pos)
+        if chosen:
+            branch(trajectory, hint, candidates, chosen, step_index, branch_id, hint_pos + 1)
+        else:
             trajectory.dropped_hints.append(hint_pos)
             walk(trajectory, hint_pos + 1, step_index, branch_id)
-            return
-        branches = step_chosen[: config.max_chosen_branch]
-        for branch_index, candidate in enumerate(branches):
-            child = Trajectory(
-                instance_ref=trajectory.instance_ref,
-                steps=list(trajectory.steps),
-                dropped_hints=list(trajectory.dropped_hints),
-            )
-            selected_index = next(
-                i for i, c in enumerate(candidates) if c is candidate
-            )
-            child.steps.append(
-                Step(input_text=hint, candidates=candidates,
-                     selected_index=selected_index)
-            )
-            child_branch = (
-                f"{branch_id}.{branch_index}" if branch_id else str(branch_index)
-            )
-            walk(child, hint_pos + 1, step_index + 1, child_branch)
 
+    base_prompt = build_base_prompt(instance, config.shots, config.preamble)
     try:
-        for branch_index, candidate in enumerate(chosen[: config.max_chosen_branch]):
-            root = Trajectory(instance_ref=instance.id)
-            selected_index = next(
-                i for i, c in enumerate(base_candidates) if c is candidate
-            )
-            root.steps.append(
-                Step(
-                    input_text=base_prompt,
-                    candidates=base_candidates,
-                    selected_index=selected_index,
-                )
-            )
-            walk(root, 0, 1, str(branch_index))
-    except _DfsAbort as exc:
+        candidates = generate(generator, base_prompt, config.n_samples, config.temperature)
+        for candidate in candidates:
+            classify_base(candidate, instance, cap, gateway)
+        chosen = record(base_prompt, candidates, 0, "", None)
+        if not chosen:
+            logger.warning("datagen aborted for %s: no usable base encoding", instance.id)
+            return sft, pref, stats(aborted_reason="no usable base encoding")
+        branch(Trajectory(instance_ref=instance.id), base_prompt, candidates, chosen, 0, "", 0)
+    except GeneratorError as exc:
         logger.warning("datagen aborted for %s: %s", instance.id, exc)
         return [], [], stats(aborted_reason=str(exc))
     return sft, pref, stats()

@@ -87,21 +87,21 @@ def _error_verdict(diagnostics: list[str], wall_time: float = 0.0) -> SolverVerd
 # In-process solving (cached: candidate texts repeat across runs and tests)
 
 @functools.lru_cache(maxsize=512)
-def _solve_in_process(text: str, cap: int, node_budget: int | None):
-    """Returns (models tuple, exhausted, error diagnostics tuple,
-    unsupported): unsupported is true when the parse reported only
-    out-of-fragment constructs, whose diagnostics are then the errors."""
+def _solve_in_process(text: str, cap: int):
+    """Returns (models tuple, error diagnostics tuple, unsupported):
+    unsupported is true when the parse reported only out-of-fragment
+    constructs, whose diagnostics are then the errors."""
     result = parse_program(text)
     if result.errors:
-        return (), True, tuple(str(d) for d in result.errors), False
+        return (), tuple(str(d) for d in result.errors), False
     if result.unsupported:
-        return (), True, tuple(str(d) for d in result.unsupported), True
+        return (), tuple(str(d) for d in result.unsupported), True
     try:
         gp = ground_program(result.statements)
-        models, exhausted = enumerate_models(gp, cap=cap, node_budget=node_budget)
+        models, _ = enumerate_models(gp, cap=cap, node_budget=DEFAULT_NODE_BUDGET)
     except (GroundingError, EnumerationBudgetError) as exc:
-        return (), True, (str(exc),), False
-    return tuple(models), exhausted, (), False
+        return (), (str(exc),), False
+    return tuple(models), (), False
 
 
 def _internal_verdict(models: tuple, error_diags: tuple, cap: int, elapsed: float) -> SolverVerdict:
@@ -135,8 +135,6 @@ class SolverGateway:
         solver_cmd: list[str] | str | None = None,
         cap: int = DEFAULT_CAP,
         timeout: float = DEFAULT_TIMEOUT,
-        max_subprocesses: int | None = None,
-        node_budget: int | None = DEFAULT_NODE_BUDGET,
     ):
         if backend not in ("internal", "external", "auto"):
             raise SolverConfigError(f"unknown backend {backend!r}")
@@ -148,9 +146,7 @@ class SolverGateway:
         self.solver_cmd = solver_cmd
         self.cap = cap
         self.timeout = timeout
-        self.node_budget = node_budget
-        pool = max_subprocesses or os.cpu_count() or 4
-        self._subprocess_slots = threading.Semaphore(pool)
+        self._subprocess_slots = threading.Semaphore(os.cpu_count() or 4)
         if backend == "external" and not self.solver_cmd:
             raise SolverConfigError(
                 f"external backend needs a solver command; pass solver_cmd or set {SOLVER_CMD_ENV}"
@@ -168,7 +164,7 @@ class SolverGateway:
         # internal, and auto, which prefers in-process and falls back on
         # unsupported constructs: both take the one cached parse
         t0 = time.perf_counter()
-        models, _, error_diags, unsupported = _solve_in_process(program_text, cap, self.node_budget)
+        models, error_diags, unsupported = _solve_in_process(program_text, cap)
         elapsed = time.perf_counter() - t0
         if backend == "auto" and unsupported:
             if self.solver_cmd:

@@ -11,15 +11,14 @@ past the budget the search accepts the least-bad candidate and moves on.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
-from .datagen import classification_cap, target_predicate_for
+from .datagen import classification_cap
 from .gateway import SolverGateway, SolverVerdict
 from .generators import Generator, GeneratorError
 from .matching import match_solution
 from .puzzles import PuzzleInstance
-from .rewards import RewardValue, choice_rule_reward, is_negative, reward
+from .rewards import choice_rule_reward, is_negative, reward
 from .trajectory import (
     CandidateEncoding,
     Step,
@@ -29,8 +28,6 @@ from .trajectory import (
     combine,
     generate,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -57,7 +54,6 @@ class SearchConfig:
 class SearchOutcome:
     final_program: str
     final_verdict: SolverVerdict
-    predicted_solution: tuple | None
     trace: list[dict] = field(default_factory=list)
     total_output_tokens: int = 0
 
@@ -70,49 +66,10 @@ class SearchError(RuntimeError):
         self.trace = trace
 
 
-def _score(candidate: CandidateEncoding, trajectory: Trajectory | None,
-           instance: PuzzleInstance, gateway: SolverGateway, cap: int,
-           step_zero: bool) -> RewardValue:
-    program = candidate.text if step_zero else combine(trajectory, candidate)
-    verdict = gateway.solve(program, cap=cap)
-    candidate.verdict = verdict
-    if step_zero:
-        value = choice_rule_reward(verdict, instance.expected_model_count)
-    else:
-        value = reward(verdict)
-    candidate.reward = value
-    return value
-
-
-def best_of_n_step(
-    trajectory: Trajectory,
-    input_text: str,
-    config: SearchConfig,
-    *,
-    generator: Generator,
-    gateway: SolverGateway,
-    instance: PuzzleInstance,
-    cap: int,
-    step_zero: bool = False,
-) -> tuple[CandidateEncoding, list[RewardValue]]:
-    """Sample n candidates for one step, score them all, select the reward
-    maximum (ties to the lowest index), and append the step to the
-    trajectory. Step 0 uses the strict expected-count reward.
-    """
-    candidates = generate(generator, input_text, config.n, config.temperature)
-    rewards = [
-        _score(c, trajectory, instance, gateway, cap, step_zero) for c in candidates
-    ]
-    best = max(range(len(rewards)), key=lambda i: (rewards[i].value, -i))
-    trajectory.steps.append(
-        Step(input_text=input_text, candidates=candidates, selected_index=best)
-    )
-    return candidates[best], rewards
-
-
-def _rerank(step: Step) -> int:
-    rewards = [c.reward.value for c in step.candidates]
-    return max(range(len(rewards)), key=lambda i: (rewards[i], -i))
+def _ranking(candidates: list[CandidateEncoding]) -> list[int]:
+    """Candidate indices from the highest reward down, ties to the lowest
+    index; the first is the step's selection."""
+    return sorted(range(len(candidates)), key=lambda i: (-candidates[i].reward.value, i))
 
 
 def _next_best_untried(step: Step, tried: set[int]) -> int | None:
@@ -120,14 +77,14 @@ def _next_best_untried(step: Step, tried: set[int]) -> int | None:
     candidate is not an alternative worth revisiting, so none is returned
     once only flagged or unsatisfiable candidates remain.
     """
-    ranked = sorted(
-        range(len(step.candidates)),
-        key=lambda i: (-step.candidates[i].reward.value, i),
-    )
-    for index in ranked:
+    for index in _ranking(step.candidates):
         if index not in tried and not is_negative(step.candidates[index].reward):
             return index
     return None
+
+
+def _all_negative(candidates: list[CandidateEncoding]) -> bool:
+    return all(is_negative(c.reward) for c in candidates)
 
 
 def run_search(
@@ -138,7 +95,8 @@ def run_search(
 ) -> SearchOutcome:
     """Search one puzzle and return the final program with its verdict.
 
-    Examples of the trace shapes this produces:
+    Step k >= 1 translates hint k-1; its prompt carries each earlier input
+    and selected block once. Examples of the trace shapes this produces:
     - every step has a flag-free candidate: only step/rank events, no
       regenerate or backtrack entries, final model count 1;
     - one step's first pool is all-negative but the regeneration batch
@@ -156,91 +114,57 @@ def run_search(
     tried: dict[int, set[int]] = {}
     regenerated: set[int] = set()
 
-    def record_rank(step_index: int, step: Step) -> None:
-        if len(step.candidates) >= 2:
-            trace.append(
-                {
-                    "event": "rank",
-                    "step": step_index,
-                    "rewards": [c.reward.value for c in step.candidates],
-                    "selected": step.selected_index,
-                }
-            )
-
-    def all_negative(step: Step) -> bool:
-        return all(is_negative(c.reward) for c in step.candidates)
-
-    def pool_tokens(step: Step) -> int:
-        return sum(c.token_count for c in step.candidates)
+    def sample(prompt: str, n: int) -> list[CandidateEncoding]:
+        """Generate n candidates for the next step and score each against
+        the trajectory before it; step 0 uses the strict expected-count
+        reward."""
+        nonlocal tokens
+        candidates = generate(generator, prompt, n, config.temperature)
+        for candidate in candidates:
+            if trajectory.steps:
+                candidate.verdict = gateway.solve(combine(trajectory, candidate), cap=cap)
+                candidate.reward = reward(candidate.verdict)
+            else:
+                candidate.verdict = gateway.solve(candidate.text, cap=cap)
+                candidate.reward = choice_rule_reward(
+                    candidate.verdict, instance.expected_model_count
+                )
+            tokens += candidate.token_count
+        return candidates
 
     try:
-        base_prompt = build_base_prompt(instance, config.shots, config.preamble)
-        hint_pos = 0
-        pending_input: str | None = base_prompt
-        while pending_input is not None:
+        while len(trajectory.steps) <= len(instance.hints):
             step_index = len(trajectory.steps)
-            step_zero = step_index == 0
-            try:
-                best_of_n_step(
-                    trajectory,
-                    pending_input,
-                    config,
-                    generator=generator,
-                    gateway=gateway,
-                    instance=instance,
-                    cap=cap,
-                    step_zero=step_zero,
-                )
-            except GeneratorError as exc:
-                raise SearchError(str(exc), trace) from exc
-            step = trajectory.steps[step_index]
-            tokens += pool_tokens(step)
-            trace.append({"event": "step", "step": step_index, "pool": len(step.candidates)})
-
-            if all_negative(step) and config.enable_regeneration and step_index not in regenerated:
+            if step_index == 0:
+                input_text = prompt = build_base_prompt(instance, config.shots, config.preamble)
+            else:
+                input_text = instance.hints[step_index - 1]
+                prompt = build_hint_prompt(trajectory, input_text)
+            candidates = sample(prompt, config.n)
+            trace.append({"event": "step", "step": step_index, "pool": len(candidates)})
+            if (_all_negative(candidates) and config.enable_regeneration
+                    and step_index not in regenerated):
                 regenerated.add(step_index)
                 extra_n = config.regen_multiplier * config.n
-                try:
-                    extra = generate(generator, pending_input, extra_n, config.temperature)
-                except GeneratorError as exc:
-                    raise SearchError(str(exc), trace) from exc
-                # score against the program before this step; the step itself
-                # is already on the trajectory but its selection is void
-                prefix = Trajectory(
-                    instance_ref=trajectory.instance_ref,
-                    steps=trajectory.steps[:step_index],
-                )
-                for candidate in extra:
-                    _score(candidate, prefix, instance, gateway, cap, step_zero)
-                    tokens += candidate.token_count
-                step.candidates.extend(extra)
-                step.selected_index = _rerank(step)
-                trace.append(
-                    {"event": "regenerate", "step": step_index, "added": extra_n}
-                )
+                candidates += sample(prompt, extra_n)
+                trace.append({"event": "regenerate", "step": step_index, "added": extra_n})
+            step = Step(input_text, candidates, selected_index=_ranking(candidates)[0])
+            trajectory.steps.append(step)
 
-            if all_negative(step):
-                target = None
-                if backtracks < config.backtrack_limit:
-                    eligible = [
-                        i
-                        for i in range(1, step_index)
-                        if len(trajectory.steps[i].candidates) >= 2
-                        and _next_best_untried(trajectory.steps[i], tried[i]) is not None
-                    ]
-                    if eligible:
-                        target = max(
-                            eligible,
-                            key=lambda i: (
-                                trajectory.steps[i].selected.reward.value,
-                                i,
-                            ),
-                        )
-                if target is not None:
-                    backtracks += 1
-                    switch_to = _next_best_untried(
-                        trajectory.steps[target], tried[target]
+            if _all_negative(candidates):
+                eligible = [
+                    i
+                    for i in range(1, step_index)
+                    if backtracks < config.backtrack_limit
+                    and len(trajectory.steps[i].candidates) >= 2
+                    and _next_best_untried(trajectory.steps[i], tried[i]) is not None
+                ]
+                if eligible:
+                    target = max(
+                        eligible, key=lambda i: (trajectory.steps[i].selected.reward.value, i)
                     )
+                    backtracks += 1
+                    switch_to = _next_best_untried(trajectory.steps[target], tried[target])
                     trajectory.steps[target].selected_index = switch_to
                     tried[target].add(switch_to)
                     trace.append(
@@ -251,16 +175,11 @@ def run_search(
                             "selected": switch_to,
                         }
                     )
-                    for removed in range(target + 1, len(trajectory.steps)):
+                    for removed in range(target + 1, step_index + 1):
                         tried.pop(removed, None)
                         regenerated.discard(removed)
                     del trajectory.steps[target + 1 :]
-                    # hint at position target-1 produced step `target`; resume
-                    # with the next one
-                    hint_pos = target
-                    pending_input = build_hint_prompt(trajectory, instance.hints[hint_pos])
                     continue
-                step.selected_index = _rerank(step)
                 trace.append(
                     {
                         "event": "accept_exhausted",
@@ -269,27 +188,21 @@ def run_search(
                     }
                 )
 
-            record_rank(step_index, step)
+            if len(candidates) >= 2:
+                trace.append(
+                    {
+                        "event": "rank",
+                        "step": step_index,
+                        "rewards": [c.reward.value for c in candidates],
+                        "selected": step.selected_index,
+                    }
+                )
             tried[step_index] = {step.selected_index}
-            if step_zero:
-                hint_pos = 0
-            else:
-                hint_pos += 1
-            if hint_pos < len(instance.hints):
-                pending_input = build_hint_prompt(trajectory, instance.hints[hint_pos])
-            else:
-                pending_input = None
-    except SearchError:
-        raise
     except GeneratorError as exc:
         raise SearchError(str(exc), trace) from exc
 
     final_program = combine(trajectory)
     final_verdict = gateway.solve(final_program, cap=cap)
-    predicate = target_predicate_for(trajectory.steps[0].selected.text)
-    predicted = None
-    if final_verdict.flagless and final_verdict.model_count >= 1:
-        predicted = _extract_prediction(final_verdict, predicate, instance)
     trace.append(
         {
             "event": "final",
@@ -301,26 +214,9 @@ def run_search(
     return SearchOutcome(
         final_program=final_program,
         final_verdict=final_verdict,
-        predicted_solution=predicted,
         trace=trace,
         total_output_tokens=tokens,
     )
-
-
-def _extract_prediction(verdict: SolverVerdict, predicate: str | None,
-                        instance: PuzzleInstance) -> tuple:
-    model = verdict.models[0]
-    if predicate is None:
-        preds = {a.pred for a in model if a.arity == instance.m}
-        predicate = "assignment" if "assignment" in preds else (
-            preds.pop() if len(preds) == 1 else None
-        )
-    rows = sorted(
-        tuple(str(value) for value in atom.args)
-        for atom in model
-        if predicate is not None and atom.pred == predicate
-    )
-    return tuple(rows)
 
 
 def evaluate_accuracy(

@@ -118,14 +118,33 @@ def test_single_sample_config_runs(gateway):
     assert outcome.final_verdict.model_count == 1
 
 
+
+class PromptLog:
+    """A scripted generator that keeps every prompt it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.prompts = []
+
+    def complete(self, prompt, n, temperature):
+        self.prompts.append(prompt)
+        return self.inner.complete(prompt, n, temperature)
+
+
+def test_hint_prompts_carry_the_puzzle_once(gateway):
+    instance = fixtures.puzzle("harbor_cruises")
+    generator = PromptLog(ScriptedGenerator(fixtures.scripted_path("search_e2e")))
+    run_search(instance, generator, SearchConfig(n=1), gateway)
+    assert len(generator.prompts) == len(instance.hints) + 1
+    for prompt in generator.prompts:
+        assert prompt.count(instance.description) == 1
+
+
 def synthetic(gateway, text, cap=None):
     solver = gateway if cap is None else SolverGateway(cap=cap)
     verdict = solver.solve(text)
-    return SearchOutcome(
-        final_program=text,
-        final_verdict=verdict,
-        predicted_solution=None,
-    )
+    return SearchOutcome(final_program=text, final_verdict=verdict)
 
 
 def test_bucket_classification(gateway):
