@@ -1,16 +1,14 @@
 """Model enumeration for ground programs.
 
-Two engines live here on purpose. `enumerate_models` is the production
-path: backtracking over choice groups with incremental constraint pruning.
-`brute_force_models` is the test oracle: it walks the full cartesian product
-of per-group selections and checks each complete candidate, sharing no
-search logic with the enumerator. Tests compare the two on the same ground
-programs.
-
-A model is facts + one bounded selection per active choice group + the
-definite-rule closure. Candidates are verified against the reduct of the
-definite rules before being emitted, so negation on derived atoms cannot
-smuggle in an unstable model.
+Two engines live here, and they share nothing but the `GroundProgram` they
+read. `enumerate_models` is the production path: it interns atoms, routes
+each constraint once, to search-time pruning or to a check on complete
+models, and backtracks over choice groups. `brute_force_models` is the test
+oracle, written from the definition of a stable model (Gelfond-Lifschitz
+1988): it guesses each choice's selection and the truth of each negated rule
+head, takes the least model of the reduct, and keeps it when that model
+reproduces the guess and fires no constraint. Both read the same grounder's
+output, so comparing them checks enumeration, not grounding.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .ground import GroundChoice, GroundConstraint, GroundProgram, GroundRule
+from .ground import GroundProgram
 from .syntax import GroundAtom, ground_atom_key
 
 
@@ -28,7 +26,7 @@ class EnumerationBudgetError(Exception):
 
 
 class BruteForceRefusal(Exception):
-    """Raised when the cartesian search space exceeds the oracle's bound."""
+    """Raised when the oracle would have to try more guesses than its bound."""
 
 
 BRUTE_FORCE_BOUND = 10_000_000
@@ -39,27 +37,21 @@ class _Compiled:
     """Interned, index-accelerated view of a ground program."""
 
     atom_of: list[GroundAtom]
-    id_of: dict[GroundAtom, int]
     fact_ids: frozenset[int]
     groups: list[tuple[int, int | None, tuple[int, ...]]]
     rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     pair_partners: dict[int, set[int]]
     deferred: list[tuple[frozenset[int], frozenset[int]]]  # checked on complete models
-    all_constraints: list[tuple[frozenset[int], frozenset[int]]]
     always_violated: bool
-    has_rules: bool
-    groups_overlap: bool
+    # some candidate can be true other than through its own group's selection
+    check_bounds: bool
 
 
 def _compile(gp: GroundProgram) -> _Compiled:
-    id_of: dict[GroundAtom, int] = {}
-    atom_of: list[GroundAtom] = []
+    id_of: dict[GroundAtom, int] = {}  # in id order
 
     def intern(atom: GroundAtom) -> int:
-        if atom not in id_of:
-            id_of[atom] = len(atom_of)
-            atom_of.append(atom)
-        return id_of[atom]
+        return id_of.setdefault(atom, len(id_of))
 
     fact_ids = frozenset(intern(a) for a in sorted(gp.facts, key=ground_atom_key))
     groups = [
@@ -72,10 +64,9 @@ def _compile(gp: GroundProgram) -> _Compiled:
     derivable = {head for head, _, _ in rules}
 
     always_violated = False
-    forbidden_single: set[int] = set()
+    forbidden: set[int] = set()
     pair_partners: dict[int, set[int]] = {}
     deferred: list[tuple[frozenset[int], frozenset[int]]] = []
-    all_constraints: list[tuple[frozenset[int], frozenset[int]]] = []
 
     for cons in gp.constraints:
         pos = [intern(a) for a in cons.pos]
@@ -85,47 +76,34 @@ def _compile(gp: GroundProgram) -> _Compiled:
         if any(n in fact_ids for n in neg):
             continue
         pos = [p for p in pos if p not in fact_ids]
-        key = (frozenset(pos), frozenset(neg))
-        all_constraints.append(key)
         if not pos and not neg:
             always_violated = True
-            continue
-        if not neg and len(pos) == 1:
-            forbidden_single.add(pos[0])
-            continue
-        if not neg and len(pos) == 2:
+        elif neg or len(pos) > 2 or not derivable.isdisjoint(pos):
+            deferred.append((frozenset(pos), frozenset(neg)))
+        # the rest names atoms that only a selection makes true: a forbidden
+        # atom is a dead candidate, a forbidden pair prunes during search
+        elif len(pos) == 1:
+            forbidden.add(pos[0])
+        else:
             a, b = pos
             pair_partners.setdefault(a, set()).add(b)
             pair_partners.setdefault(b, set()).add(a)
-            continue
-        deferred.append(key)
 
-    # A singly-forbidden atom that no rule can derive is just a dead
-    # candidate; drop it from the choice groups instead of searching it.
-    pruned_groups = []
-    for lower, upper, cands in groups:
-        kept = tuple(c for c in cands if not (c in forbidden_single and c not in derivable))
-        pruned_groups.append((lower, upper, kept))
-    for atom_id in forbidden_single:
-        if atom_id in derivable:
-            deferred.append((frozenset([atom_id]), frozenset()))
-
-    candidate_total = sum(len(c) for _, _, c in pruned_groups)
-    candidate_distinct = len({c for _, _, cands in pruned_groups for c in cands})
-    groups_overlap = candidate_total != candidate_distinct
+    groups = [(lower, upper, tuple(c for c in cands if c not in forbidden))
+              for lower, upper, cands in groups]
+    candidates = [c for _, _, cands in groups for c in cands]
+    check_bounds = (len(candidates) != len(set(candidates))
+                    or not (derivable | fact_ids).isdisjoint(candidates))
 
     return _Compiled(
-        atom_of=atom_of,
-        id_of=id_of,
+        atom_of=list(id_of),
         fact_ids=fact_ids,
-        groups=pruned_groups,
+        groups=groups,
         rules=rules,
         pair_partners=pair_partners,
         deferred=deferred,
-        all_constraints=all_constraints,
         always_violated=always_violated,
-        has_rules=bool(rules),
-        groups_overlap=groups_overlap,
+        check_bounds=check_bounds,
     )
 
 
@@ -135,7 +113,7 @@ def _selections(lower: int, upper: int | None, cands: tuple[int, ...]):
         yield from itertools.combinations(cands, size)
 
 
-def _rule_closure(base: set[int], rules, neg_reference: set[int] | None) -> set[int]:
+def _rule_closure(base: frozenset[int], rules, neg_reference: frozenset[int] | None) -> set[int]:
     """Least fixpoint of the rules over `base`. Negated literals are checked
     against `neg_reference` when given (the reduct), else against the growing
     set itself."""
@@ -156,40 +134,35 @@ def _rule_closure(base: set[int], rules, neg_reference: set[int] | None) -> set[
     return out
 
 
-def _complete_model(comp: _Compiled, selected: set[int]) -> frozenset[int] | None:
-    """Close a full selection under the rules and verify everything that the
-    incremental pruning could not decide. Returns the model or None."""
-    model = set(comp.fact_ids) | selected
-    if comp.has_rules:
-        model = _rule_closure(model, comp.rules, neg_reference=None)
+def _complete_model(comp: _Compiled, base: frozenset[int]) -> frozenset[int] | None:
+    """Close facts plus a full selection under the rules and check what
+    search-time pruning could not decide. Returns the model or None."""
+    model = base
+    if comp.rules:
+        model = frozenset(_rule_closure(base, comp.rules, neg_reference=None))
         # stability: the model must equal the closure of its own reduct
-        reduct_lfp = _rule_closure(set(comp.fact_ids) | selected, comp.rules, neg_reference=model)
-        if reduct_lfp != model:
+        if _rule_closure(base, comp.rules, neg_reference=model) != model:
             return None
-        for pos, neg in comp.all_constraints:
-            if pos <= model and not (neg & model):
-                return None
-    else:
-        for pos, neg in comp.deferred:
-            if pos <= model and not (neg & model):
-                return None
-    if comp.has_rules or comp.groups_overlap:
+    for pos, neg in comp.deferred:
+        if pos <= model and not (neg & model):
+            return None
+    if comp.check_bounds:
         for lower, upper, cands in comp.groups:
             inside = sum(1 for c in cands if c in model)
             if inside < lower or (upper is not None and inside > upper):
                 return None
-    return frozenset(model)
+    return model
 
 
-def _externalize(comp: _Compiled, models: list[frozenset[int]]) -> list[frozenset[GroundAtom]]:
+def _externalize(comp: _Compiled, models: set[frozenset[int]]) -> list[frozenset[GroundAtom]]:
     """Sort models by their sorted atom keys. Atoms are ranked once by
     `ground_atom_key`, and a model sorts by its sorted ranks, the same order."""
     atom_of = comp.atom_of
     rank = [0] * len(atom_of)
     for r, i in enumerate(sorted(range(len(atom_of)), key=lambda i: ground_atom_key(atom_of[i]))):
         rank[i] = r
-    models = sorted(set(models), key=lambda m: sorted([rank[i] for i in m]))
-    return [frozenset(atom_of[i] for i in m) for m in models]
+    ordered = sorted(models, key=lambda m: sorted([rank[i] for i in m]))
+    return [frozenset(atom_of[i] for i in m) for m in ordered]
 
 
 def enumerate_models(
@@ -222,7 +195,7 @@ def enumerate_models(
         if budget[0] > 0:
             budget[0] -= 1
         if level == len(groups):
-            model = _complete_model(comp, current - comp.fact_ids)
+            model = _complete_model(comp, frozenset(current))
             if model is not None:
                 found.add(model)
                 if len(found) >= cap + 1:
@@ -241,11 +214,8 @@ def enumerate_models(
                         break
                     current.add(a)
                     added.append(a)
-            if ok:
-                if not walk(level + 1):
-                    for a in added:
-                        current.discard(a)
-                    return False
+            if ok and not walk(level + 1):
+                return False
             for a in added:
                 current.discard(a)
         return True
@@ -257,68 +227,69 @@ def enumerate_models(
         # program, the models found) stays in a reference cycle until the
         # next full garbage collection
         del walk
-    return _externalize(comp, list(found)), exhausted
+    return _externalize(comp, found), exhausted
 
 
 def brute_force_models(
     gp: GroundProgram, bound: int = BRUTE_FORCE_BOUND
 ) -> list[frozenset[GroundAtom]]:
-    """Oracle enumerator: try every per-group selection combination and keep
-    the candidates that verify. Refuses search spaces larger than `bound`.
+    """Oracle enumerator: the stable models of `gp` by definition.
+
+    A guess is a selection per choice and a truth value per negated rule
+    head. The guess fixes the reduct; its least model is kept when it
+    selects exactly the guessed candidates, makes exactly the guessed
+    negated heads true and fires no constraint. Refuses when the number of
+    guesses exceeds `bound`.
     """
-    comp = _compile(gp)
+    heads = {rule.head for rule in gp.rules}
+    # A candidate that a one-atom constraint forbids, and that no fact or
+    # rule can make true, is false in every stable model: never guess it.
+    forbidden = {c.pos[0] for c in gp.constraints if len(c.pos) == 1 and not c.neg}
+    dead = forbidden - gp.facts - heads
+    choices = [(ch.lower, ch.upper, [c for c in ch.candidates if c not in dead]) for ch in gp.choices]
+    negated = sorted({n for rule in gp.rules for n in rule.neg} & heads, key=ground_atom_key)
+    # (smallest size, largest size, atoms) of each guessed subset
+    parts = [(lower, len(cands) if upper is None else min(upper, len(cands)), cands)
+             for lower, upper, cands in choices]
+    parts.append((0, len(negated), negated))
 
-    space = 1
-    for lower, upper, cands in comp.groups:
-        hi = len(cands) if upper is None else min(upper, len(cands))
-        count = sum(math.comb(len(cands), size) for size in range(lower, hi + 1))
-        space *= count
-        if space > bound:
-            raise BruteForceRefusal(
-                f"search space {space} exceeds the brute-force bound {bound}"
-            )
-    if comp.always_violated:
-        return []
+    space = math.prod(sum(math.comb(len(atoms), k) for k in range(lo, hi + 1)) for lo, hi, atoms in parts)
+    if space > bound:
+        raise BruteForceRefusal(f"search space {space} exceeds the brute-force bound {bound}")
 
-    # Fast path for the common shape: no rules, no overlapping groups. The
-    # constraint residue is indexed by one positive atom so each candidate
-    # only pays for constraints it could actually violate.
-    by_atom: dict[int, list[tuple[frozenset[int], frozenset[int]]]] = {}
-    always_check: list[tuple[frozenset[int], frozenset[int]]] = []
-    if not comp.has_rules:
-        for pos, neg in comp.deferred:
-            if pos:
-                by_atom.setdefault(next(iter(pos)), []).append((pos, neg))
-            else:
-                always_check.append((pos, neg))
-        for a, ps in comp.pair_partners.items():
-            for b in ps:
-                if a < b:
-                    by_atom.setdefault(a, []).append((frozenset((a, b)), frozenset()))
+    # a constraint can fire only when its first positive atom is true: file
+    # each under that atom, so a guess checks what its own atoms could fire
+    filed: dict[GroundAtom | None, list] = {}
+    for c in gp.constraints:
+        filed.setdefault(c.pos[0] if c.pos else None, []).append((frozenset(c.pos), frozenset(c.neg)))
 
-    found: list[frozenset[int]] = []
-    selection_lists = [list(_selections(l, u, c)) for l, u, c in comp.groups]
-    for combo in itertools.product(*selection_lists):
-        selected = {a for sel in combo for a in sel}
-        if comp.has_rules or comp.groups_overlap:
-            model = _complete_model(comp, selected)
-            if model is not None:
-                found.append(model)
+    def filed_under(atoms):
+        return [cons for atom in atoms for cons in filed.get(atom, ())]
+
+    guesses = [[(frozenset(sel), filed_under(sel)) for k in range(lo, hi + 1)
+                for sel in itertools.combinations(atoms, k)] for lo, hi, atoms in parts]
+    scopes = [frozenset(atoms) for _, _, atoms in parts]
+    always = filed_under([None, *gp.facts])
+    rules = [(rule.head, frozenset(rule.pos), frozenset(rule.neg)) for rule in gp.rules]
+    found = []
+    for guess in itertools.product(*guesses):
+        *selections, assumed = [subset for subset, _ in guess]
+        given = gp.facts.union(*selections)
+        # a negated atom that no rule derives is true exactly when given
+        reduct = [(head, pos) for head, pos, neg in rules
+                  if neg.isdisjoint(given) and neg.isdisjoint(assumed)]
+        model = set(given)
+        grew = True
+        while grew:
+            grew = False
+            for head, pos in reduct:
+                if head not in model and pos <= model:
+                    model.add(head)
+                    grew = True
+        fired = itertools.chain(always, filed_under(model - given), *(cons for _, cons in guess))
+        if any(pos <= model and neg.isdisjoint(model) for pos, neg in fired):
             continue
-        model_set = selected | comp.fact_ids
-        ok = True
-        for a in selected:
-            for pos, neg in by_atom.get(a, ()):
-                if pos <= model_set and not (neg & model_set):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for pos, neg in always_check:
-                if pos <= model_set and not (neg & model_set):
-                    ok = False
-                    break
-        if ok:
-            found.append(frozenset(model_set))
-    return _externalize(comp, found)
+        # stable: the least model of the reduct reproduces the guess
+        if all(model & scope == subset for scope, (subset, _) in zip(scopes, guess)):
+            found.append(frozenset(model))
+    return sorted(found, key=lambda m: sorted(map(ground_atom_key, m)))

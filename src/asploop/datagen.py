@@ -10,6 +10,7 @@ dropped hint never reappears in a prompt.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -229,13 +230,16 @@ def run_dfs(
             child_branch = f"{branch_id}.{branch_index}" if branch_id else str(branch_index)
             walk(child, next_hint, step_index + 1, child_branch)
 
+    # a branch's base block never changes, so parse each one once
+    predicate_of = functools.lru_cache(maxsize=None)(target_predicate_for)
+
     def walk(trajectory: Trajectory, hint_pos: int, step_index: int, branch_id: str):
         if hint_pos >= len(instance.hints):
             return
         hint = instance.hints[hint_pos]
         prompt = build_hint_prompt(trajectory, hint)
         candidates = generate(generator, prompt, config.n_samples, config.temperature)
-        predicate = target_predicate_for(trajectory.steps[0].selected.text)
+        predicate = predicate_of(trajectory.steps[0].selected.text)
         for candidate in candidates:
             classify(candidate, trajectory, instance, cap, gateway, predicate)
         chosen = record(prompt, candidates, step_index, branch_id, hint_pos)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .asp import (
-    BruteForceRefusal,
     EnumerationBudgetError,
     GroundAtom,
     GroundingError,
@@ -152,21 +151,16 @@ class SolverGateway:
                 f"external backend needs a solver command; pass solver_cmd or set {SOLVER_CMD_ENV}"
             )
 
-    def solve(self, program_text: str, cap: int | None = None, backend: str | None = None) -> SolverVerdict:
+    def solve(self, program_text: str, cap: int | None = None) -> SolverVerdict:
         cap = self.cap if cap is None else cap
-        backend = backend or self.backend
-        if backend == "external":
-            if not self.solver_cmd:
-                raise SolverConfigError(
-                    f"external backend needs a solver command; pass solver_cmd or set {SOLVER_CMD_ENV}"
-                )
+        if self.backend == "external":
             return self._solve_external(program_text, cap)
         # internal, and auto, which prefers in-process and falls back on
         # unsupported constructs: both take the one cached parse
         t0 = time.perf_counter()
         models, error_diags, unsupported = _solve_in_process(program_text, cap)
         elapsed = time.perf_counter() - t0
-        if backend == "auto" and unsupported:
+        if self.backend == "auto" and unsupported:
             if self.solver_cmd:
                 return self._solve_external(program_text, cap)
             return _error_verdict(
