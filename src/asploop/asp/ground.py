@@ -24,6 +24,12 @@ and head, a test per comparison (`_Plan`). Comparisons run after the full
 join, in body order, and every cardinality element is evaluated: deciding
 either earlier could skip an instance whose arithmetic raises.
 
+Rules are evaluated one way, as the least model of the reduct (`_least`).
+The atoms true in every model are the well-founded model of the facts and
+independent rules (Van Gelder, Ross & Schlipf 1991), found by alternating
+that least model; an atom it leaves undecided means negation loops and
+raises UnsupportedProgram. Rules grow an index to GROUND_ATOM_BUDGET at most.
+
 The Fact, Rule and Choice statements are grounded once per content and the
 last result kept (`_ground_skeleton`); each constraint statement is grounded
 against it once, so candidates adding constraints to one prefix share it.
@@ -67,6 +73,17 @@ class GroundingError(Exception):
         super().__init__(detail)
         self.message = message
         self.source = source
+
+
+class UnsupportedProgram(GroundingError):
+    """Negation loops: the well-founded model leaves atoms undecided."""
+
+    def __init__(self, undecided):
+        atom = min(undecided, key=ground_atom_key)
+        super().__init__(f"negation loops through {atom}, which the well-founded model leaves undecided")
+
+
+GROUND_ATOM_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -595,11 +612,13 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
     rules = [s for s in statements if isinstance(s, Rule)]
     independent_rules = [r for r in rules if (r.head.pred, r.head.arity) not in dependent]
 
-    # D0: everything true in every model, independent of any choice.
-    base = _Index()
-    for f in facts:
-        base.add(f)
-    _close(base, independent_rules, plan, negative_against=base)
+    # D0: the well-founded model of the facts and independent rules
+    high = _least(facts, independent_rules, plan, frozenset())
+    base = _least(facts, independent_rules, plan, high.atoms)
+    while (upper := _least(facts, independent_rules, plan, base.atoms)).atoms != high.atoms:
+        high, base = upper, _least(facts, independent_rules, plan, upper.atoms)
+    if base.atoms != high.atoms:
+        raise UnsupportedProgram(high.atoms - base.atoms)
 
     # Ground the choice rules; bodies and conditions must stay independent.
     choices: list[GroundChoice] = []
@@ -609,12 +628,12 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
         _require_independent(stmt.body, dependent, stmt.source_text)
         for el in stmt.elements:
             _require_independent(el.conditions, dependent, stmt.source_text)
-        for body_binding in _body_instantiations(plan(stmt), base, {}):
+        for body_binding in _body_instantiations(plan(stmt), base, {}, base.atoms):
             candidates: list[GroundAtom] = []
             seen: set[GroundAtom] = set()
             for k in range(len(stmt.elements)):
                 el_plan = plan(stmt, k)
-                for el_binding in _body_instantiations(el_plan, base, body_binding):
+                for el_binding in _body_instantiations(el_plan, base, body_binding, base.atoms):
                     atom = el_plan.head(el_binding)
                     if atom not in seen:
                         seen.add(atom)
@@ -622,14 +641,9 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
             candidates.sort(key=ground_atom_key)
             choices.append(GroundChoice(stmt.lower, stmt.upper, tuple(candidates), stmt.source_text))
 
-    # Possible atoms: facts, choice candidates, then optimistic rule closure.
-    possible = _Index()
-    for f in facts:
-        possible.add(f)
-    for ch in choices:
-        for c in ch.candidates:
-            possible.add(c)
-    _close(possible, rules, plan, negative_against=None)
+    # Possible atoms: facts, choice candidates, then every rule, optimistically.
+    seeds = itertools.chain(facts, *(ch.candidates for ch in choices))
+    possible = _least(seeds, rules, plan, frozenset())
 
     # Ground definite rules over the possible atoms.
     ground_rules: list[GroundRule] = []
@@ -698,12 +712,12 @@ def _require_independent(body: tuple[Literal, ...], dependent: set[tuple[str, in
             )
 
 
-def _body_instantiations(plan: _Plan, index: _Index, initial: dict):
-    """All bindings satisfying a fully-independent body over `index`,
-    extending `initial`."""
+def _body_instantiations(plan: _Plan, index: _Index, initial: dict, negative_against):
+    """All bindings extending `initial` whose positive atoms are in `index`
+    and whose negated atoms are not in `negative_against`."""
     binding = dict(initial)
     for _ in plan.matches(index, binding):
-        if any(neg(binding) in index.atoms for _, neg in plan.negs):
+        if any(neg(binding) in negative_against for _, neg in plan.negs):
             continue
         if not all(cmp(binding) for cmp in plan.cmps):
             continue
@@ -745,22 +759,21 @@ def _residual_instances(plan: _Plan, possible: _Index, base: _Index):
                     yield binding, pos_dep, neg_dep
 
 
-def _close(index: _Index, rules: list[Rule], plan, negative_against: _Index | None) -> None:
-    """Forward-chain rule heads into the index until fixpoint. When
-    negative_against is None the closure is optimistic: negated atoms are
-    assumed satisfiable (used for the possible-atom over-approximation)."""
+def _least(seeds, rules: list[Rule], plan, negative_against) -> _Index:
+    """The least model of `seeds` and the reduct of `rules` by
+    `negative_against`, forward-chained to a fixpoint."""
+    index = _Index()
+    for atom in seeds:
+        index.add(atom)
     changed = True
     while changed:
         changed = False
         for rule in rules:
             rule_plan = plan(rule)
-            binding: dict[str, GroundValue] = {}
-            for _ in rule_plan.matches(index, binding):
-                if negative_against is not None and any(
-                    neg(binding) in negative_against.atoms for _, neg in rule_plan.negs
-                ):
-                    continue
-                if not all(cmp(binding) for cmp in rule_plan.cmps):
-                    continue
+            for binding in _body_instantiations(rule_plan, index, {}, negative_against):
                 if index.add(rule_plan.head(binding)):
                     changed = True
+                    if len(index.atoms) > GROUND_ATOM_BUDGET:
+                        message = f"grounding exceeded the budget of {GROUND_ATOM_BUDGET} ground atoms"
+                        raise GroundingError(message, rule.source_text)
+    return index

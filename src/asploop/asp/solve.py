@@ -3,12 +3,14 @@
 Two engines live here, and they share nothing but the `GroundProgram` they
 read. `enumerate_models` is the production path: it interns atoms, routes
 each constraint once, to search-time pruning or to a check on complete
-models, and backtracks over choice groups. `brute_force_models` is the test
-oracle, written from the definition of a stable model (Gelfond-Lifschitz
-1988): it guesses each choice's selection and the truth of each negated rule
-head, takes the least model of the reduct, and keeps it when that model
-reproduces the guess and fires no constraint. Both read the same grounder's
-output, so comparing them checks enumeration, not grounding.
+models, and backtracks over choice groups (at most NODE_BUDGET nodes). It
+closes each full selection under the rules to the well-founded model, as
+the grounder does. `brute_force_models` is the test oracle, written from the
+definition of a stable model (Gelfond-Lifschitz 1988): it guesses each
+choice's selection and the truth of each negated rule head, takes the least
+model of the reduct, and keeps it when that model reproduces the guess and
+fires no constraint. Both read the same grounder's output, so comparing them
+checks enumeration, not grounding.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .ground import GroundProgram
+from .ground import GroundProgram, UnsupportedProgram
 from .syntax import GroundAtom, ground_atom_key
 
 
@@ -30,6 +32,7 @@ class BruteForceRefusal(Exception):
 
 
 BRUTE_FORCE_BOUND = 10_000_000
+NODE_BUDGET = 20_000_000
 
 
 @dataclass
@@ -113,10 +116,8 @@ def _selections(lower: int, upper: int | None, cands: tuple[int, ...]):
         yield from itertools.combinations(cands, size)
 
 
-def _rule_closure(base: frozenset[int], rules, neg_reference: frozenset[int] | None) -> set[int]:
-    """Least fixpoint of the rules over `base`. Negated literals are checked
-    against `neg_reference` when given (the reduct), else against the growing
-    set itself."""
+def _rule_closure(base: frozenset[int], rules, negative_against) -> frozenset[int]:
+    """The least model of `base` and the reduct of `rules` by `negative_against`."""
     out = set(base)
     changed = True
     while changed:
@@ -126,12 +127,11 @@ def _rule_closure(base: frozenset[int], rules, neg_reference: frozenset[int] | N
                 continue
             if not all(p in out for p in pos):
                 continue
-            ref = out if neg_reference is None else neg_reference
-            if any(n in ref for n in neg):
+            if any(n in negative_against for n in neg):
                 continue
             out.add(head)
             changed = True
-    return out
+    return frozenset(out)
 
 
 def _complete_model(comp: _Compiled, base: frozenset[int]) -> frozenset[int] | None:
@@ -139,10 +139,12 @@ def _complete_model(comp: _Compiled, base: frozenset[int]) -> frozenset[int] | N
     search-time pruning could not decide. Returns the model or None."""
     model = base
     if comp.rules:
-        model = frozenset(_rule_closure(base, comp.rules, neg_reference=None))
-        # stability: the model must equal the closure of its own reduct
-        if _rule_closure(base, comp.rules, neg_reference=model) != model:
-            return None
+        high = _rule_closure(base, comp.rules, frozenset())
+        model = _rule_closure(base, comp.rules, high)
+        while (upper := _rule_closure(base, comp.rules, model)) != high:
+            high, model = upper, _rule_closure(base, comp.rules, upper)
+        if model != high:
+            raise UnsupportedProgram(comp.atom_of[i] for i in high - model)
     for pos, neg in comp.deferred:
         if pos <= model and not (neg & model):
             return None
@@ -165,9 +167,7 @@ def _externalize(comp: _Compiled, models: set[frozenset[int]]) -> list[frozenset
     return [frozenset(atom_of[i] for i in m) for m in ordered]
 
 
-def enumerate_models(
-    gp: GroundProgram, cap: int = 1_000_000, node_budget: int | None = None
-) -> tuple[list[frozenset[GroundAtom]], bool]:
+def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[list[frozenset[GroundAtom]], bool]:
     """Enumerate stable models, stopping after cap+1 distinct models.
 
     Returns (models, exhausted). `exhausted` is True when the search space
@@ -181,7 +181,7 @@ def enumerate_models(
 
     found: set[frozenset[int]] = set()
     exhausted = True
-    budget = [node_budget if node_budget is not None else -1]
+    budget = NODE_BUDGET
     groups = comp.groups
     partners = comp.pair_partners
 
@@ -189,11 +189,10 @@ def enumerate_models(
 
     def walk(level: int) -> bool:
         """Returns False to stop the whole search (cap or budget)."""
-        nonlocal exhausted
-        if budget[0] == 0:
-            raise EnumerationBudgetError("enumeration exceeded the node budget")
-        if budget[0] > 0:
-            budget[0] -= 1
+        nonlocal exhausted, budget
+        if budget == 0:
+            raise EnumerationBudgetError(f"enumeration exceeded the budget of {NODE_BUDGET} search nodes")
+        budget -= 1
         if level == len(groups):
             model = _complete_model(comp, frozenset(current))
             if model is not None:

@@ -769,6 +769,10 @@ CROSSCHECK = (
         ":- f(X), g(Y), X != Y.",
     ),
     ("pooled_pairs", "pair(a, 1; b, 2). n(X) :- pair(_, X)."),
+    ("negated_head_derived_later", "a :- not b. b :- c. c. :- a."),
+    ("negated_derived_guard", "d(1;2). e(X) :- d(X), not f(X). f(X) :- d(X), X > 1. 1 {s(X) : e(X)} 1."),
+    ("negation_over_choice", "d(a). 0 {c(X) : d(X)}. h(X) :- d(X), not k(X). k(X) :- d(X), not c(X)."),
+    ("negated_dependent_head", "{d}. p :- d, not q. q :- d."),
 )
 
 

@@ -30,10 +30,10 @@ from .asp import (
     parse_ground_atom,
     parse_program,
 )
+from .asp.ground import UnsupportedProgram
 
 DEFAULT_CAP = 1_000_000
 DEFAULT_TIMEOUT = 30.0
-DEFAULT_NODE_BUDGET = 20_000_000
 
 SOLVER_CMD_ENV = "ASPLOOP_SOLVER_CMD"
 
@@ -89,7 +89,7 @@ def _error_verdict(diagnostics: list[str], wall_time: float = 0.0) -> SolverVerd
 def _solve_in_process(text: str, cap: int):
     """Returns (models tuple, error diagnostics tuple, unsupported):
     unsupported is true when the parse reported only out-of-fragment
-    constructs, whose diagnostics are then the errors."""
+    constructs, or negation loops, and the diagnostics then say which."""
     result = parse_program(text)
     if result.errors:
         return (), tuple(str(d) for d in result.errors), False
@@ -97,7 +97,9 @@ def _solve_in_process(text: str, cap: int):
         return (), tuple(str(d) for d in result.unsupported), True
     try:
         gp = ground_program(result.statements)
-        models, _ = enumerate_models(gp, cap=cap, node_budget=DEFAULT_NODE_BUDGET)
+        models, _ = enumerate_models(gp, cap=cap)
+    except UnsupportedProgram as exc:
+        return (), (str(exc),), True
     except (GroundingError, EnumerationBudgetError) as exc:
         return (), (str(exc),), False
     return tuple(models), (), False
@@ -123,9 +125,9 @@ class SolverGateway:
     """Solve program text via the configured backend.
 
     backend: "internal", "external", or "auto". Auto solves in-process
-    unless the parse reports an out-of-fragment construct, in which case the
-    external solver takes over (or, with none configured, the verdict is an
-    error explaining what was unsupported).
+    unless the parse reports an out-of-fragment construct or negation loops,
+    in which case the external solver takes over (or, with none configured,
+    the verdict is an error explaining what was unsupported).
     """
 
     def __init__(
@@ -156,7 +158,7 @@ class SolverGateway:
         if self.backend == "external":
             return self._solve_external(program_text, cap)
         # internal, and auto, which prefers in-process and falls back on
-        # unsupported constructs: both take the one cached parse
+        # unsupported programs: both take the one cached parse
         t0 = time.perf_counter()
         models, error_diags, unsupported = _solve_in_process(program_text, cap)
         elapsed = time.perf_counter() - t0
@@ -165,7 +167,7 @@ class SolverGateway:
                 return self._solve_external(program_text, cap)
             return _error_verdict(
                 list(error_diags)
-                + [f"no external solver configured (set {SOLVER_CMD_ENV}) for out-of-fragment programs"],
+                + [f"no external solver configured (set {SOLVER_CMD_ENV}) for unsupported programs"],
             )
         return _internal_verdict(models, error_diags, cap, elapsed)
 

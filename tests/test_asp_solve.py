@@ -25,9 +25,12 @@ from asploop.asp import (
     parse_ground_atom,
     parse_program,
     render_ground_atom,
+    solve,
 )
 from asploop.asp.ground import _ground_skeleton
+from asploop.asp.syntax import AtomLit, Rule
 from asploop.gateway import SolverGateway
+from conftest import REFSOLVER_CMD
 
 
 def grounded(text):
@@ -157,10 +160,11 @@ def test_cap_truncates_enumeration():
     assert len(models) == 8
 
 
-def test_node_budget_raises():
+def test_node_budget_raises(monkeypatch):
+    monkeypatch.setattr(solve, "NODE_BUDGET", 3)
     gp = grounded("item(a;b;c;d;e). {pick(X) : item(X)}.")
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_models(gp, node_budget=3)
+    with pytest.raises(EnumerationBudgetError, match="budget of 3 search nodes"):
+        enumerate_models(gp)
 
 
 def test_unsafe_variable_is_a_grounding_error():
@@ -206,6 +210,18 @@ def test_compiled_join_shapes(text, pred, expected):
     assert shown == expected
 
 
+def run_script(script, **env):
+    """The standard output of `script` run by a fresh interpreter on this
+    checkout's asploop, with `env` added to the environment."""
+    src = str(Path(asploop.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, **env, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_ground_order_does_not_depend_on_string_hashing():
     script = (
         "import json\n"
@@ -216,17 +232,23 @@ def test_ground_order_does_not_depend_on_string_hashing():
         "print(json.dumps([[str(r.head), list(map(str, r.pos)), list(map(str, r.neg))] for r in gp.rules]))\n"
         "print(json.dumps([[list(map(str, c.pos)), list(map(str, c.neg))] for c in gp.constraints]))\n"
     )
-    src = str(Path(asploop.__file__).resolve().parent.parent)
-    outputs = []
-    for seed in ("7", "8"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = [run_script(script, PYTHONHASHSEED=seed) for seed in ("7", "8")]
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[0].splitlines()[1])) > 1000
+
+
+def test_ground_atom_budget_stops_an_unbounded_program():
+    # in a subprocess with a timeout, so that a missing budget fails the
+    # test instead of hanging it
+    script = (
+        "from asploop.gateway import SolverGateway\n"
+        "verdict = SolverGateway().solve('n(1). n(X+1) :- n(X).')\n"
+        "print(verdict.has_error, verdict.diagnostics)\n"
+    )
+    output = run_script(script)
+    assert output.startswith("True ")
+    assert "grounding exceeded the budget of 100000 ground atoms" in output
+    assert "n ( X + 1 ) :- n ( X )" in output
 
 
 # --------------------------------------------------------------------------
@@ -259,8 +281,8 @@ def reference_prefixes(instance_ids=None):
 
 def test_warm_ground_equals_cold_ground():
     programs = reference_prefixes() + [text for _, text in fixtures.crosscheck_programs()]
-    assert len(programs) == 41 + 23
-    # hashes, not snapshots: keeping 64 cold snapshots would keep every
+    assert len(programs) == 41 + 27
+    # hashes, not snapshots: keeping 68 cold snapshots would keep every
     # ground constraint of every prefix alive at once
     cold = {}
     for text in programs:
@@ -381,9 +403,9 @@ def test_fact_candidate_counts_toward_the_bound():
     assert models_of("c(a). d(a;b). 1 {c(X) : d(X)} 1.") == {frozenset({"c(a)", "d(a)", "d(b)"})}
 
 
-# Programs whose stable models were counted by hand from the definition. The
-# enumerator's naive rule closure gets each of them wrong: it checks negation
-# against the atoms derived so far, so its count depends on statement order.
+# Programs whose stable models were counted by hand from the definition.
+# Each negates an atom that a rule derives, some before the rule that
+# derives it.
 HAND_COUNTED = {
     "{d}. p :- d, not q. q :- d.": [set(), {"d", "q"}],
     "{d}. p :- d, not q. q :- r. r :- d.": [set(), {"d", "q", "r"}],
@@ -391,20 +413,45 @@ HAND_COUNTED = {
     "d(a). 0 {c(X) : d(X)}. h(X) :- d(X), not k(X). k(X) :- d(X), not c(X).": [
         {"d(a)", "c(a)", "h(a)"}, {"d(a)", "k(a)"},
     ],
+    "a :- not b. b :- c. c. :- a.": [{"b", "c"}],
+    "d(1;2). e(X) :- d(X), not f(X). f(X) :- d(X), X > 1. 1 {s(X) : e(X)} 1.": [
+        {"d(1)", "d(2)", "e(1)", "f(2)", "s(1)"},
+    ],
 }
+# the one whose negation loops once d is chosen
+LOOPS_AFTER_A_CHOICE = "{d}. p :- d, not q. q :- d, not p."
 
 
-@pytest.mark.parametrize("text, expected", HAND_COUNTED.items(), ids=[f"prog{i}" for i in range(4)])
+@pytest.mark.parametrize(
+    "text, expected", HAND_COUNTED.items(), ids=[f"prog{i}" for i in range(len(HAND_COUNTED))]
+)
 def test_oracle_counts_stable_models_by_definition(text, expected):
     models = brute_force_models(grounded(text))
     assert {frozenset(map(render_ground_atom, m)) for m in models} == {frozenset(m) for m in expected}
     assert len(models) == len(expected)
 
 
-@pytest.mark.xfail(strict=True, reason="the enumerator's naive rule closure (ROADMAP item 1)")
 def test_gateway_agrees_with_the_oracle_on_hand_counted_programs():
-    for text in HAND_COUNTED:
-        assert SolverGateway().solve(text).models == brute_force_models(grounded(text)), text
+    for text in [text for text in HAND_COUNTED if text != LOOPS_AFTER_A_CHOICE]:
+        verdict = SolverGateway().solve(text)
+        assert not verdict.has_error, verdict.diagnostics
+        assert verdict.models == brute_force_models(grounded(text)), text
+    internal = SolverGateway().solve(LOOPS_AFTER_A_CHOICE)
+    assert internal.has_error
+    assert internal.diagnostics == ["negation loops through p, which the well-founded model leaves undecided"]
+    auto = SolverGateway(backend="auto", solver_cmd=REFSOLVER_CMD).solve(LOOPS_AFTER_A_CHOICE)
+    assert auto.model_count == 3
+    assert auto.models == brute_force_models(grounded(LOOPS_AFTER_A_CHOICE))
+
+
+@pytest.mark.parametrize("text", ["p :- not q. q :- not p.", "p :- not p."])
+def test_negation_looping_through_facts_is_an_error_from_both_backends(text):
+    with pytest.raises(GroundingError, match="negation loops through p"):
+        grounded(text)
+    for gateway in (SolverGateway(), SolverGateway(backend="external", solver_cmd=REFSOLVER_CMD)):
+        verdict = gateway.solve(text)
+        assert verdict.has_error
+        assert any("negation loops through p" in line for line in verdict.diagnostics), verdict.diagnostics
 
 
 def test_ground_atom_round_trip():
@@ -475,10 +522,10 @@ def test_adding_constraints_never_adds_models(extra):
 
 
 # Random tiny programs: facts over at most three constants, one or two choice
-# rules with random bounds, up to two rules and up to three constraints. Rule
-# bodies negate only choice atoms, which no rule derives: negation on a
-# derived atom meets the enumerator's naive rule closure (ROADMAP item 1),
-# whose count depends on statement order.
+# rules with random bounds, two rules in random order and up to three
+# constraints. Rule bodies may negate choice atoms and rule heads alike; a
+# rule negating a head that a later rule derives is what a closure checking
+# negation against a half-built model gets wrong.
 CONSTANTS = ["a", "b", "c"]
 CHOICE_PREDS = ["c1", "c2"]
 RULE_HEADS = ["h1", "h2"]
@@ -499,8 +546,8 @@ def tiny_programs(draw):
         lower = draw(st.integers(0, 2))
         upper = draw(st.one_of(st.just(""), st.integers(lower, 3).map(str)))
         lines.append(f"{lower} {{{draw(st.sampled_from(CHOICE_PREDS))}(X) : d(X)}} {upper}.")
-    for head in draw(st.lists(st.sampled_from(RULE_HEADS), max_size=2, unique=True)):
-        body = draw(st.lists(literal(CHOICE_PREDS, ["d", *RULE_HEADS]), min_size=1, max_size=2))
+    for head in draw(st.permutations(RULE_HEADS)):
+        body = draw(st.lists(literal([*CHOICE_PREDS, *RULE_HEADS], ["d"]), min_size=1, max_size=2))
         lines.append(f"{head}(X) :- d(X), {', '.join(body)}.")
     for _ in range(draw(st.integers(0, 3))):
         body = draw(st.lists(literal(["d", *CHOICE_PREDS, *RULE_HEADS], []), min_size=1, max_size=3))
@@ -508,7 +555,38 @@ def tiny_programs(draw):
     return "\n".join(lines)
 
 
+def negation_loops(text):
+    """Whether the predicate dependency graph has a cycle through a negated
+    literal: some rule negates a predicate that depends on the rule's head."""
+    depends_on: dict[str, set[str]] = {}
+    negated = []
+    for stmt in parse_program(text).statements:
+        if isinstance(stmt, Rule):
+            for lit in stmt.body:
+                if isinstance(lit, AtomLit):
+                    depends_on.setdefault(stmt.head.pred, set()).add(lit.atom.pred)
+                    if lit.negated:
+                        negated.append((stmt.head.pred, lit.atom.pred))
+
+    def reaches(pred, goal):
+        seen, todo = set(), [pred]
+        while todo:
+            pred = todo.pop()
+            if pred == goal:
+                return True
+            if pred not in seen:
+                seen.add(pred)
+                todo.extend(depends_on.get(pred, ()))
+        return False
+    return any(reaches(body, head) for head, body in negated)
+
+
 @settings(max_examples=300, deadline=None)
 @given(tiny_programs())
 def test_gateway_agrees_with_the_oracle_on_random_programs(text):
-    assert SolverGateway().solve(text).models == brute_force_models(grounded(text))
+    verdict = SolverGateway().solve(text)
+    if verdict.has_error:
+        assert negation_loops(text), verdict.diagnostics
+        assert "negation loops" in verdict.diagnostics[0]
+        return
+    assert verdict.models == brute_force_models(grounded(text))
