@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import eq, itemgetter, ne
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 from .syntax import (
     Anon,
@@ -122,26 +122,6 @@ class GroundProgram:
     @property
     def choice_candidate_count(self) -> int:
         return sum(len(c.candidates) for c in self.choices)
-
-
-# --------------------------------------------------------------------------
-# Comparison
-
-def compare_values(lhs: GroundValue, op: str, rhs: GroundValue) -> bool:
-    if op in ("==", "="):
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    a, b = value_order_key(lhs), value_order_key(rhs)
-    if op == "<":
-        return a < b
-    if op == ">":
-        return a > b
-    if op == "<=":
-        return a <= b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison operator {op!r}")
 
 
 # --------------------------------------------------------------------------
@@ -306,31 +286,23 @@ class _Index:
         return True
 
 
-def _raiser(message: str, source: str):
-    def fail(binding):
-        raise GroundingError(message, source)
-    return fail
-
-
-def _term_fn(term: Term, bound: set[str], source: str):
-    """Compile a term into a function of the binding. `bound` names the
-    variables the binding holds whenever the function runs."""
+def _term_fn(term: Term, source: str):
+    """Compile a term into a function of the binding. Safety checking has
+    made sure the binding holds every variable whenever the function runs."""
     if isinstance(term, (Num, Sym)):
         value = term.value if isinstance(term, Num) else term.name
         return lambda binding: value
     if isinstance(term, Var):
-        if term.name in bound:
-            return itemgetter(term.name)
-        return _raiser(f"unsafe variable {term.name}", source)
+        return itemgetter(term.name)
     if isinstance(term, Tup):
         items = term.items
-        if len(items) > 1 and all(isinstance(t, Var) and t.name in bound for t in items):
+        if len(items) > 1 and all(isinstance(t, Var) for t in items):
             return itemgetter(*(t.name for t in items))
-        fns = [_term_fn(t, bound, source) for t in items]
+        fns = [_term_fn(t, source) for t in items]
         return lambda binding: tuple([f(binding) for f in fns])
     if isinstance(term, Arith):
-        lhs = _term_fn(term.lhs, bound, source)
-        rhs = _term_fn(term.rhs, bound, source)
+        lhs = _term_fn(term.lhs, source)
+        rhs = _term_fn(term.rhs, source)
         add = term.op == "+"
 
         def arith(binding):
@@ -340,16 +312,17 @@ def _term_fn(term: Term, bound: set[str], source: str):
                 raise GroundingError("arithmetic over a symbolic constant", source)
             return x + y if add else x - y
         return arith
-    if isinstance(term, Anon):
-        return _raiser("unsafe variable _", source)
     raise TypeError(f"not a term: {term!r}")
 
 
-def _atom_fn(atom: Atom, bound: set[str], source: str):
+def _atom_fn(atom: Atom, source: str):
     """Compile an atom into a function from the binding to its ground atom."""
     pred = atom.pred
-    args = _term_fn(Tup(atom.args), bound, source)
+    args = _term_fn(Tup(atom.args), source)
     return lambda binding: GroundAtom(pred, args(binding))
+
+
+_ORDER_TESTS = {"<": lt, ">": gt, "<=": le, ">=": ge}
 
 
 def _test_fn(op: str, negated: bool):
@@ -359,16 +332,18 @@ def _test_fn(op: str, negated: bool):
     elif op == "!=":
         test = ne
     else:
+        order = _ORDER_TESTS[op]
+
         def test(lhs, rhs):
-            return compare_values(lhs, op, rhs)
+            return order(value_order_key(lhs), value_order_key(rhs))
     if negated:
         return lambda lhs, rhs: not test(lhs, rhs)
     return test
 
 
-def _cmp_fn(lit: CmpLit, bound: set[str], source: str):
-    lhs = _term_fn(lit.lhs, bound, source)
-    rhs = _term_fn(lit.rhs, bound, source)
+def _cmp_fn(lit: CmpLit, source: str):
+    lhs = _term_fn(lit.lhs, source)
+    rhs = _term_fn(lit.rhs, source)
     test = _test_fn(lit.op, lit.negated)
     return lambda binding: test(lhs(binding), rhs(binding))
 
@@ -408,7 +383,7 @@ def _step_fn(pattern: Term, bound: set[str]):
         return tup
     if isinstance(pattern, Arith):
         # arith args cannot bind; their variables must already be bound
-        evaluate = _term_fn(pattern, bound, "")
+        evaluate = _term_fn(pattern, "")
         return lambda value, binding: evaluate(binding) == value
     raise TypeError(f"not a term: {pattern!r}")
 
@@ -479,9 +454,9 @@ class _Plan:
         for atom in _order_for_matching(pos, bound, source):
             key = (atom.pred, atom.arity)
             self.levels.append((key, _match_fn(atom, bound), key in dependent))
-        self.negs = [((a.pred, a.arity) in dependent, _atom_fn(a, bound, source)) for a in neg]
-        self.cmps = [_cmp_fn(c, bound, source) for c in cmps]
-        self.head = None if head is None else _atom_fn(head, bound, source)
+        self.negs = [((a.pred, a.arity) in dependent, _atom_fn(a, source)) for a in neg]
+        self.cmps = [_cmp_fn(c, source) for c in cmps]
+        self.head = None if head is None else _atom_fn(head, source)
         self.bound = bound
 
     def matches(self, index: _Index, binding: dict):
@@ -588,7 +563,7 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
     facts: dict[GroundAtom, None] = {}
     for stmt in statements:
         if isinstance(stmt, Fact):
-            facts[_atom_fn(stmt.atom, set(), stmt.source_text)({})] = None
+            facts[_atom_fn(stmt.atom, stmt.source_text)({})] = None
 
     # Each body is compiled on first use, so an unorderable body raises only
     # once grounding reaches it, after any error raised before that point.
@@ -669,8 +644,7 @@ def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton)
     stmt_plan = _Plan(stmt.body, skeleton.dependent, source)
     is_constraint = isinstance(stmt, Constraint)
     elements = [] if is_constraint else [
-        (_term_fn(el.lhs, stmt_plan.bound, source), el.op,
-         _term_fn(el.rhs, stmt_plan.bound, source), _test_fn(el.op, el.negated))
+        (_term_fn(el.lhs, source), el.op, _term_fn(el.rhs, source), _test_fn(el.op, el.negated))
         for el in stmt.elements
     ]
     out: list[GroundConstraint] = []

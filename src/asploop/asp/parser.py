@@ -180,8 +180,6 @@ class _StatementError(Exception):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.lines = text.splitlines()
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -348,16 +346,9 @@ class _Parser:
             conds: tuple[Literal, ...] = ()
             if self.peek().type == "OP" and self.peek().text == ":":
                 self.next()
-                conds = self.condition_list()
+                conds = self.body()
             return (item.atom, conds)
         return (item, None)
-
-    def condition_list(self) -> tuple[Literal, ...]:
-        lits = [self.literal()]
-        while self.peek().type == "OP" and self.peek().text == ",":
-            self.next()
-            lits.append(self.literal())
-        return tuple(lits)
 
     # -- bodies and literals ------------------------------------------------
 

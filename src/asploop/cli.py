@@ -278,18 +278,10 @@ def cmd_solve(args) -> int:
     verdict = gateway.solve(path.read_text(encoding="utf-8"))
 
     print(f"models: {verdict.model_count}")
-    if verdict.has_error:
-        flags = "error"
-    elif verdict.is_unsat:
-        flags = "unsat"
-    elif verdict.cap_exceeded:
-        flags = "cap-exceeded"
-    else:
-        flags = "none"
-    print(f"flags: {flags}")
+    print(f"flags: {verdict.flag or 'none'}")
     for diagnostic in verdict.diagnostics:
         print(f"  {diagnostic}")
-    if verdict.is_unsat:
+    if verdict.flag == "unsat":
         print("UNSAT")
     print(f"reward: {reward(verdict).value}")
     for index, model in enumerate(verdict.models[: max(args.show_models, 0)], start=1):
@@ -297,7 +289,7 @@ def cmd_solve(args) -> int:
             render_ground_atom(atom) for atom in sorted(model, key=ground_atom_key)
         )
         print(f"model {index}: {atoms}")
-    return EXIT_RUNTIME if verdict.has_error else EXIT_OK
+    return EXIT_RUNTIME if verdict.flag == "error" else EXIT_OK
 
 
 def cmd_datagen(args) -> int:

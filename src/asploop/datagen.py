@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .asp import parse_program
@@ -23,6 +23,7 @@ from .gateway import DEFAULT_CAP, SolverGateway
 from .generators import Generator, GeneratorError
 from .matching import match_solution
 from .puzzles import PuzzleInstance
+from .rewards import choice_rule_reward
 from .trajectory import (
     CandidateEncoding,
     Step,
@@ -110,14 +111,10 @@ def classify(
     """Label one hint-step candidate: chosen iff the partial program solves
     without flags and the ground truth is still among its models.
     """
-    program = combine(trajectory, candidate)
-    verdict = gateway.solve(program, cap=cap)
-    candidate.verdict = verdict
-    label = "rejected"
-    if verdict.flagless and _matches_ground_truth(verdict, instance, target_predicate):
-        label = "chosen"
-    candidate.label = label
-    return label
+    verdict = candidate.verdict = gateway.solve(combine(trajectory, candidate), cap=cap)
+    matched = verdict.flagless and _matches_ground_truth(verdict, instance, target_predicate)
+    candidate.label = "chosen" if matched else "rejected"
+    return candidate.label
 
 
 def classify_base(
@@ -127,16 +124,13 @@ def classify_base(
     gateway: SolverGateway,
 ) -> str:
     """Label a step-0 candidate. Membership of the ground truth is too weak
-    for the unconstrained base, so the criterion is the exact expected model
-    count (n!)^(m-1).
+    for the unconstrained base, so the criterion is search's step-0 reward:
+    full credit only for the exact expected model count (n!)^(m-1).
     """
-    verdict = gateway.solve(candidate.text, cap=cap)
-    candidate.verdict = verdict
-    label = "rejected"
-    if verdict.flagless and verdict.model_count == instance.expected_model_count:
-        label = "chosen"
-    candidate.label = label
-    return label
+    verdict = candidate.verdict = gateway.solve(candidate.text, cap=cap)
+    full = choice_rule_reward(verdict, instance.expected_model_count).recip_term == 1.0
+    candidate.label = "chosen" if full else "rejected"
+    return candidate.label
 
 
 def _emit(
@@ -225,7 +219,6 @@ def run_dfs(
             child = Trajectory(
                 instance_ref=instance.id,
                 steps=[*trajectory.steps, Step(input_text, candidates, selected_index)],
-                dropped_hints=list(trajectory.dropped_hints),
             )
             child_branch = f"{branch_id}.{branch_index}" if branch_id else str(branch_index)
             walk(child, next_hint, step_index + 1, child_branch)
@@ -246,7 +239,6 @@ def run_dfs(
         if chosen:
             branch(trajectory, hint, candidates, chosen, step_index, branch_id, hint_pos + 1)
         else:
-            trajectory.dropped_hints.append(hint_pos)
             walk(trajectory, hint_pos + 1, step_index, branch_id)
 
     base_prompt = build_base_prompt(instance, config.shots, config.preamble)

@@ -1,10 +1,10 @@
 """Uniform solving interface over the in-process evaluator and an external
 clingo-style solver subprocess.
 
-Every path ends in a SolverVerdict whose flags are mutually consistent by
-construction: unsat means zero models and no error, an error empties the
-model list, and at most one of unsat/cap-exceeded can be set. Warnings from
-an external solver count as errors; a wrong encoding that merely provokes a
+Every path ends in `_verdict`, the one place a SolverVerdict is built and
+its flags are decided: an error drops every model; otherwise no models means
+unsat, and more than `cap` models means cap-exceeded. Warnings from an
+external solver count as errors; a wrong encoding that merely provokes a
 warning must not look healthy downstream.
 """
 
@@ -19,7 +19,6 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .asp import (
     EnumerationBudgetError,
@@ -68,16 +67,30 @@ class SolverVerdict:
             raise ValueError("has_error requires an empty model list")
 
     @property
+    def flag(self) -> str | None:
+        """The flag set, as "error", "unsat" or "cap-exceeded"; None if none is."""
+        if self.has_error:
+            return "error"
+        if self.is_unsat:
+            return "unsat"
+        return "cap-exceeded" if self.cap_exceeded else None
+
+    @property
     def flagless(self) -> bool:
-        return not (self.is_unsat or self.cap_exceeded or self.has_error)
+        return self.flag is None
 
 
-def _error_verdict(diagnostics: list[str], wall_time: float = 0.0) -> SolverVerdict:
+def _verdict(models, cap: int, diagnostics=(), error: bool = False,
+             wall_time: float = 0.0) -> SolverVerdict:
+    """The one constructor of a SolverVerdict: see the module docstring."""
+    models = [] if error else list(models)
     return SolverVerdict(
-        models=[],
-        model_count=0,
-        has_error=True,
-        diagnostics=diagnostics,
+        models=models,
+        model_count=len(models),
+        is_unsat=not (error or models),
+        cap_exceeded=bool(models) and len(models) > cap,
+        has_error=error,
+        diagnostics=list(diagnostics),
         wall_time=wall_time,
     )
 
@@ -103,22 +116,6 @@ def _solve_in_process(text: str, cap: int):
     except (GroundingError, EnumerationBudgetError) as exc:
         return (), (str(exc),), False
     return tuple(models), (), False
-
-
-def _internal_verdict(models: tuple, error_diags: tuple, cap: int, elapsed: float) -> SolverVerdict:
-    if error_diags:
-        return _error_verdict(list(error_diags), elapsed)
-    model_list = list(models)
-    if len(model_list) > cap:
-        return SolverVerdict(
-            models=model_list,
-            model_count=len(model_list),
-            cap_exceeded=True,
-            wall_time=elapsed,
-        )
-    if not model_list:
-        return SolverVerdict(models=[], model_count=0, is_unsat=True, wall_time=elapsed)
-    return SolverVerdict(models=model_list, model_count=len(model_list), wall_time=elapsed)
 
 
 class SolverGateway:
@@ -165,11 +162,9 @@ class SolverGateway:
         if self.backend == "auto" and unsupported:
             if self.solver_cmd:
                 return self._solve_external(program_text, cap)
-            return _error_verdict(
-                list(error_diags)
-                + [f"no external solver configured (set {SOLVER_CMD_ENV}) for unsupported programs"],
-            )
-        return _internal_verdict(models, error_diags, cap, elapsed)
+            missing = f"no external solver configured (set {SOLVER_CMD_ENV}) for unsupported programs"
+            return _verdict((), cap, [*error_diags, missing], error=True)
+        return _verdict(models, cap, error_diags, error=bool(error_diags), wall_time=elapsed)
 
     # -- external ----------------------------------------------------------
 
@@ -190,15 +185,11 @@ class SolverGateway:
                     timeout=self.timeout,
                 )
         except subprocess.TimeoutExpired:
-            return _error_verdict(
-                [f"external solver timed out after {self.timeout}s"],
-                time.perf_counter() - t0,
-            )
+            return _verdict((), cap, [f"external solver timed out after {self.timeout}s"],
+                            error=True, wall_time=time.perf_counter() - t0)
         except OSError as exc:
-            return _error_verdict(
-                [f"external solver could not run: {exc}"],
-                time.perf_counter() - t0,
-            )
+            return _verdict((), cap, [f"external solver could not run: {exc}"],
+                            error=True, wall_time=time.perf_counter() - t0)
         finally:
             try:
                 os.unlink(path)
@@ -230,7 +221,8 @@ def parse_external_output(stdout: str, stderr: str, returncode: int, cap: int) -
     Models come from "Answer: N" marker lines, each followed by one line of
     space-separated atoms. Any stderr line carrying an error, warning, or
     info tag makes the verdict an error, as does an exit status outside the
-    documented {0, 10, 20, 30} family.
+    documented {0, 10, 20, 30} family, or output with neither a model nor an
+    UNSATISFIABLE marker.
     """
     diagnostics = [line for line in stderr.splitlines() if line.strip()]
     error = any(_stderr_is_error(line) for line in diagnostics)
@@ -253,8 +245,7 @@ def parse_external_output(stdout: str, stderr: str, returncode: int, cap: int) -
                     atoms.append(parse_ground_atom(chunk))
                 except ValueError as exc:
                     parse_problems.append(str(exc))
-            if not parse_problems:
-                models.append(frozenset(atoms))
+            models.append(frozenset(atoms))
             i += 2
             continue
         if line == "UNSATISFIABLE":
@@ -263,18 +254,7 @@ def parse_external_output(stdout: str, stderr: str, returncode: int, cap: int) -
     if parse_problems:
         error = True
         diagnostics.extend(parse_problems)
-
-    if error:
-        return SolverVerdict(models=[], model_count=0, has_error=True, diagnostics=diagnostics)
-    if unsat_marker and not models:
-        return SolverVerdict(models=[], model_count=0, is_unsat=True, diagnostics=diagnostics)
-    if not models:
-        return _error_verdict(diagnostics + ["no models parsed and no UNSATISFIABLE marker"])
-    if len(models) > cap:
-        return SolverVerdict(
-            models=models,
-            model_count=len(models),
-            cap_exceeded=True,
-            diagnostics=diagnostics,
-        )
-    return SolverVerdict(models=models, model_count=len(models), diagnostics=diagnostics)
+    if not (error or models or unsat_marker):
+        error = True
+        diagnostics.append("no models parsed and no UNSATISFIABLE marker")
+    return _verdict(models, cap, diagnostics, error=error)

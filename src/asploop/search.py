@@ -245,22 +245,12 @@ def evaluate_accuracy(
     per_instance = []
     for outcome, instance in zip(outcomes, instances):
         verdict = outcome.final_verdict
-        ok = False
-        if verdict.has_error:
-            bucket = "error"
-        elif verdict.is_unsat:
-            bucket = "unsat"
-        elif verdict.cap_exceeded:
-            bucket = "cap-exceeded"
-        elif verdict.model_count > 1:
+        bucket = verdict.flag
+        if bucket is None and verdict.model_count > 1:
             bucket = "multiple-models"
-        else:
-            matched = _final_match(verdict, instance)
-            if matched:
-                ok = True
-                bucket = None
-            else:
-                bucket = "wrong-unique-model"
+        elif bucket is None and not _final_match(verdict, instance):
+            bucket = "wrong-unique-model"
+        ok = bucket is None
         if ok:
             correct += 1
         else:

@@ -60,7 +60,6 @@ class Step:
 class Trajectory:
     instance_ref: str
     steps: list[Step] = field(default_factory=list)
-    dropped_hints: list[int] = field(default_factory=list)
 
 
 def default_preamble() -> str:

@@ -143,6 +143,30 @@ def test_out_of_fragment_constructs_are_unsupported(text):
     assert not result.errors, text
 
 
+@pytest.mark.parametrize(
+    "text, diagnostics, atoms",
+    [
+        ("p($).", [("error", "unexpected character '$'", 1, 3)], []),
+        (
+            "p :- not not q.",
+            [("unsupported", "unsupported construct: double negation", 1, 10)],
+            [],
+        ),
+        (
+            "p(a;b) :- q.",
+            [("unsupported", "unsupported construct: pooling outside a fact", 1, 8)],
+            [],
+        ),
+        ("p(-X).", [("error", "unary '-' is only supported on integers", 1, 4)], []),
+        ("p(-3).", [], [Atom("p", (Num(-3),))]),
+    ],
+)
+def test_diagnostics_name_the_construct_and_position(text, diagnostics, atoms):
+    result = parse_program(text)
+    assert [(d.severity, d.message, d.line, d.col) for d in result.diagnostics] == diagnostics
+    assert [s.atom for s in result.statements] == atoms
+
+
 def test_recovery_continues_after_bad_statement():
     result = parse_program("p(a. q(b).")
     assert result.errors

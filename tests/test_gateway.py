@@ -202,3 +202,34 @@ def test_verdict_rejects_error_with_unsat():
 def test_verdict_rejects_unsat_with_models():
     with pytest.raises(ValueError):
         _verdict(models=(frozenset(),), model_count=1, is_unsat=True)
+
+
+def test_external_atom_that_does_not_parse_is_an_error():
+    verdict = gateway_mod.parse_external_output("Answer: 1\np(\nSATISFIABLE\n", "", 10, 5)
+    assert verdict.has_error and verdict.model_count == 0
+    assert any("not a ground atom" in d for d in verdict.diagnostics)
+
+
+def test_external_info_line_is_an_error():
+    info = "x.lp:1:1-2: info: atom does not occur in any rule head:"
+    verdict = gateway_mod.parse_external_output("UNSATISFIABLE\n", info + "\n", 20, 5)
+    assert verdict.has_error and not verdict.is_unsat
+    assert info in verdict.diagnostics
+
+
+def test_external_solver_that_cannot_start_is_an_error():
+    gateway = SolverGateway(backend="external", solver_cmd=["/nonexistent/solver"])
+    verdict = gateway.solve("p.")
+    assert verdict.has_error and verdict.model_count == 0
+    assert verdict.diagnostics[0].startswith("external solver could not run")
+
+
+def test_verdict_flag_names_the_one_flag_set():
+    gateway = SolverGateway()
+    assert gateway.solve(GOLDEN).flag is None
+    assert gateway.solve(BROKEN).flag == "error"
+    assert gateway.solve(UNSAT).flag == "unsat"
+    assert gateway.solve(MANY, cap=2).flag == "cap-exceeded"
+    # a negative cap is invalid input; a program without models is unsat
+    # under any cap, never cap-exceeded with zero models
+    assert gateway.solve(UNSAT, cap=-1).flag == "unsat"
