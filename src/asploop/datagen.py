@@ -21,7 +21,7 @@ from pathlib import Path
 from .asp import parse_program
 from .gateway import DEFAULT_CAP, SolverGateway
 from .generators import Generator, GeneratorError
-from .matching import match_solution
+from .matching import GroundTruth, match_solution
 from .puzzles import PuzzleInstance
 from .rewards import choice_rule_reward
 from .trajectory import (
@@ -90,10 +90,10 @@ def target_predicate_for(base_text: str) -> str | None:
     return None
 
 
-def _matches_ground_truth(verdict, instance, predicate) -> bool:
+def _matches_ground_truth(verdict, instance, predicate, truth) -> bool:
     for model in verdict.models:
         try:
-            if match_solution(model, instance, predicate).matched:
+            if match_solution(model, instance, predicate, truth).matched:
                 return True
         except ValueError:
             continue
@@ -107,12 +107,16 @@ def classify(
     cap: int,
     gateway: SolverGateway,
     target_predicate: str | None = None,
+    truth: GroundTruth | None = None,
 ) -> str:
     """Label one hint-step candidate: chosen iff the partial program solves
-    without flags and the ground truth is still among its models.
+    without flags and the ground truth is still among its models. `truth`
+    is the instance's `GroundTruth`, shared across one run's candidates.
     """
     verdict = candidate.verdict = gateway.solve(combine(trajectory, candidate), cap=cap)
-    matched = verdict.flagless and _matches_ground_truth(verdict, instance, target_predicate)
+    matched = verdict.flagless and _matches_ground_truth(
+        verdict, instance, target_predicate, truth
+    )
     candidate.label = "chosen" if matched else "rejected"
     return candidate.label
 
@@ -225,6 +229,8 @@ def run_dfs(
 
     # a branch's base block never changes, so parse each one once
     predicate_of = functools.lru_cache(maxsize=None)(target_predicate_for)
+    # every candidate's models are matched against this one ground truth
+    truth = GroundTruth(instance)
 
     def walk(trajectory: Trajectory, hint_pos: int, step_index: int, branch_id: str):
         if hint_pos >= len(instance.hints):
@@ -234,7 +240,7 @@ def run_dfs(
         candidates = generate(generator, prompt, config.n_samples, config.temperature)
         predicate = predicate_of(trajectory.steps[0].selected.text)
         for candidate in candidates:
-            classify(candidate, trajectory, instance, cap, gateway, predicate)
+            classify(candidate, trajectory, instance, cap, gateway, predicate, truth)
         chosen = record(prompt, candidates, step_index, branch_id, hint_pos)
         if chosen:
             branch(trajectory, hint, candidates, chosen, step_index, branch_id, hint_pos + 1)

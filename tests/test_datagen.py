@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from asploop import fixtures
+from asploop import fixtures, matching
 from asploop.datagen import (
     DfsConfig,
     PreferenceRecord,
@@ -148,6 +148,23 @@ def test_replays_are_deterministic(gateway):
     assert first[0] == second[0]
     assert first[1] == second[1]
     assert first[2] == second[2]
+
+
+def test_dfs_computes_each_edit_distance_once(gateway, monkeypatch):
+    pairs = []
+    edit_distance = matching.edit_distance
+
+    def counted(a, b):
+        pairs.append((a, b))
+        return edit_distance(a, b)
+
+    monkeypatch.setattr(matching, "edit_distance", counted)
+    instance = fixtures.puzzle("event_planning")
+    generator = ScriptedGenerator(fixtures.scripted_path("datagen_splits"))
+    sft, pref, _ = run_dfs(instance, generator, DfsConfig(), gateway)
+    assert (len(sft), len(pref)) == (25, 54)
+    assert pairs, "the run no longer reaches the edit-distance stage"
+    assert len(pairs) == len(set(pairs))
 
 
 def test_classification_cap_scales_with_instance():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from asploop import fixtures
 from asploop.asp import GroundAtom
 from asploop.matching import (
+    GroundTruth,
     edit_distance,
     levenshtein_match,
     match_solution,
@@ -115,6 +116,14 @@ def test_levenshtein_rejects_non_injective_maps():
     assert not report.matched
 
 
+def test_levenshtein_match_without_model_items():
+    for model_rows in ([], [(), ()]):
+        report = levenshtein_match([("wedding", "herbert")], model_rows)
+        assert not report.matched
+        assert report.method == "levenshtein"
+        assert report.diagnostics
+
+
 def test_levenshtein_item_matrix_shape():
     gt = [("a", "b"), ("c", "d")]
     model = [("a", "b"), ("c", "d")]
@@ -170,18 +179,57 @@ def test_match_solution_arity_mismatch(gateway):
         match_solution(verdict.models[0], instance, target_predicate="assignment")
 
 
+# event_planning's solution with a prefix on every event, so only the
+# edit-distance stage can match it
+EVENT_DRIFTED = "\n".join(
+    f"assignment({e}, {p}, {a})."
+    for e, p, a in [
+        ("the_wedding", "herbert", 50),
+        ("the_birthday", "joel", 100),
+        ("the_anniversary", "susan", 75),
+        ("the_graduation", "teresa", 125),
+    ]
+)
+
+
 def test_match_solution_levenshtein_fallback(gateway):
     instance = fixtures.puzzle("event_planning")
-    text = "\n".join(
-        f"assignment({e}, {p}, {a})."
-        for e, p, a in [
-            ("the_wedding", "herbert", 50),
-            ("the_birthday", "joel", 100),
-            ("the_anniversary", "susan", 75),
-            ("the_graduation", "teresa", 125),
-        ]
-    )
-    verdict = gateway.solve(text)
+    verdict = gateway.solve(EVENT_DRIFTED)
     report = match_solution(verdict.models[0], instance)
     assert report.matched
     assert report.method == "levenshtein"
+
+
+def test_shared_ground_truth_reports_equal_fresh_reports(gateway, event_ref):
+    instance = fixtures.puzzle("event_planning")
+    truth = GroundTruth(instance)
+    programs = [
+        event_ref.base,
+        "\n\n".join((event_ref.base, event_ref.hints[0])),
+        EVENT_DRIFTED,
+    ]
+    reports = []
+    for text in programs:
+        for model in gateway.solve(text).models:
+            report = match_solution(model, instance, None, truth)
+            assert report == match_solution(model, instance)
+            reports.append(report)
+    assert {(r.method, r.matched) for r in reports} == {
+        ("exact", True), ("levenshtein", True), ("levenshtein", False)
+    }
+
+
+surfaces = st.text(alphabet="ab_1", max_size=4)
+surface_rows = st.lists(st.tuples(surfaces, surfaces), min_size=1, max_size=3)
+
+
+@given(surface_rows, st.lists(surface_rows, min_size=1, max_size=4))
+def test_shared_closeness_table_matches_a_fresh_one(gt_rows, models):
+    closeness = {}
+    for model_rows in models:
+        assert levenshtein_match(gt_rows, model_rows, closeness) == levenshtein_match(
+            gt_rows, model_rows
+        )
+    for (gt_item, model_item), close in closeness.items():
+        contained = gt_item in model_item or model_item in gt_item
+        assert close == (edit_distance(gt_item, model_item), 0 if contained else 1)
