@@ -31,8 +31,12 @@ that least model; an atom it leaves undecided means negation loops and
 raises UnsupportedProgram. Rules grow an index to GROUND_ATOM_BUDGET at most.
 
 The Fact, Rule and Choice statements are grounded once per content and the
-last result kept (`_ground_skeleton`); each constraint statement is grounded
-against it once, so candidates adding constraints to one prefix share it.
+last result kept (`_ground_skeleton`), their atoms interned to ints for the
+enumerator (`Symbols`). Each constraint statement is compiled against it
+once (`_compile_statement`): its ground constraints, keyed for
+deduplication, and their `Route` over the interned atoms. Candidates adding
+constraints to one prefix share all of it: a ground program lists its
+statements' routes, and the enumerator merges them.
 """
 
 from __future__ import annotations
@@ -111,6 +115,52 @@ class GroundConstraint:
     source: str = field(default="", compare=False)
 
 
+class Symbols:
+    """The skeleton's atoms interned to ints, and its facts, choice groups
+    and rules over them, for the enumerator. Built once per skeleton and
+    never changed after, so threads share it. Facts, choice candidates and
+    rule atoms are interned; any other atom is false in every model.
+    rank[i] is atom i's place in `ground_atom_key` order."""
+
+    __slots__ = ("atom_of", "id_of", "rank", "fact_ids", "groups", "rules", "derivable")
+
+    def __init__(self, facts, choices: list[GroundChoice], rules: list[GroundRule]):
+        id_of: dict[GroundAtom, int] = {}  # in id order
+
+        def intern(atom: GroundAtom) -> int:
+            return id_of.setdefault(atom, len(id_of))
+
+        self.fact_ids = frozenset(intern(a) for a in facts)
+        self.groups = [(ch.lower, ch.upper, tuple(intern(c) for c in ch.candidates)) for ch in choices]
+        self.rules = [
+            (intern(r.head), tuple(intern(a) for a in r.pos), tuple(intern(a) for a in r.neg))
+            for r in rules
+        ]
+        self.derivable = frozenset(head for head, _, _ in self.rules)
+        self.id_of = id_of
+        self.atom_of = list(id_of)
+        self.rank = [0] * len(id_of)
+        for r, i in enumerate(sorted(range(len(id_of)), key=lambda i: ground_atom_key(self.atom_of[i]))):
+            self.rank[i] = r
+
+
+@dataclass(frozen=True)
+class Route:
+    """One constraint statement's ground constraints over the skeleton's
+    atom ids, routed for the enumerator. A constraint needing an uninterned
+    atom or negating a fact never fires and is dropped; negated uninterned
+    atoms and positive facts always hold and vanish. A constraint left
+    empty fails every model (`always_violated`). One or two atoms that only
+    a selection makes true prune during search: a dead candidate
+    (`forbidden`) or a forbidden pair (`partners`). The rest is checked on
+    complete models (`deferred`)."""
+
+    always_violated: bool
+    forbidden: frozenset[int]
+    partners: dict[int, tuple[int, ...]]
+    deferred: tuple[tuple[frozenset[int], frozenset[int]], ...]
+
+
 @dataclass
 class GroundProgram:
     facts: frozenset[GroundAtom]
@@ -118,6 +168,10 @@ class GroundProgram:
     rules: list[GroundRule]
     constraints: list[GroundConstraint]
     possible: frozenset[GroundAtom]
+    # the enumerator's view, shared with the skeleton: its interned atoms and
+    # the route of each constraint statement, in program order
+    symbols: Symbols = field(compare=False, repr=False)
+    routes: tuple[Route, ...] = field(compare=False, repr=False)
 
     @property
     def choice_candidate_count(self) -> int:
@@ -526,30 +580,44 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
         (stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Fact, Rule, Choice))
     ))
     constraints: list[GroundConstraint] = []
-    seen: set[tuple] = set()
+    routes: list[Route] = []
+    seen: set[tuple] = set()  # dedup keys, across statements
     for stmt in statements:
         if isinstance(stmt, (Constraint, CardinalityRule)):
             key = (stmt, stmt.source_text)
-            if key not in skeleton.constraints:
-                # errors are not stored; threads racing here store equal lists
-                skeleton.constraints[key] = _ground_constraints(stmt, skeleton)
-            for cons in skeleton.constraints[key]:
-                _add_constraint(constraints, seen, cons)
+            compiled = skeleton.constraints.get(key)
+            if compiled is None:
+                # errors are not stored; threads racing here store equal entries
+                compiled = skeleton.constraints[key] = _compile_statement(stmt, skeleton)
+            keyed, route = compiled
+            if seen.isdisjoint(keyed):
+                constraints += keyed.values()
+                seen.update(keyed)
+            else:
+                for dedup_key, cons in keyed.items():
+                    if dedup_key not in seen:
+                        seen.add(dedup_key)
+                        constraints.append(cons)
+            routes.append(route)
     gp = skeleton.program
-    return GroundProgram(gp.facts, list(gp.choices), list(gp.rules), constraints, gp.possible)
+    return GroundProgram(gp.facts, list(gp.choices), list(gp.rules), constraints, gp.possible,
+                         gp.symbols, tuple(routes))
 
 
 @dataclass
 class _Skeleton:
-    """Fact, Rule and Choice statements grounded (`program`, no constraints),
-    the indices constraint statements are grounded against, and each one's
-    ground constraints so far, keyed by (statement, source text)."""
+    """Fact, Rule and Choice statements grounded (`program`, no constraints,
+    its atoms interned), the indices constraint statements are grounded
+    against, and each one's compiled form so far, keyed by (statement,
+    source text): its ground constraints by dedup key, in order, and their
+    route."""
 
     program: GroundProgram
     dependent: set[tuple[str, int]]
     base: _Index
     possible: _Index
-    constraints: dict[tuple[Statement, str], list[GroundConstraint]] = field(default_factory=dict)
+    constraints: dict[tuple[Statement, str], tuple[dict[tuple, GroundConstraint], Route]] = field(
+        default_factory=dict)
 
 
 @functools.lru_cache(maxsize=1)
@@ -633,13 +701,51 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
             seen_rules.add(key)
             ground_rules.append(GroundRule(head, tuple(pos_dep), tuple(neg_dep), stmt.source_text))
 
-    program = GroundProgram(frozenset(facts), choices, ground_rules, [], frozenset(possible.atoms))
+    symbols = Symbols(facts, choices, ground_rules)
+    program = GroundProgram(frozenset(facts), choices, ground_rules, [], frozenset(possible.atoms), symbols, ())
     return _Skeleton(program, dependent, base, possible)
 
 
-def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton) -> list[GroundConstraint]:
+def _compile_statement(stmt: Constraint | CardinalityRule, skeleton: _Skeleton):
+    """A constraint statement's ground constraints by dedup key, and their route."""
+    keyed = _ground_constraints(stmt, skeleton)
+    return keyed, _route(keyed.values(), skeleton.program.symbols)
+
+
+def _route(constraints, symbols: Symbols) -> Route:
+    """Route ground constraints as `Route` says. Reads `symbols` only."""
+    id_of = symbols.id_of
+    fact_ids = symbols.fact_ids
+    derivable = symbols.derivable
+    always_violated = False
+    forbidden: set[int] = set()
+    partners: dict[int, set[int]] = {}
+    deferred: list[tuple[frozenset[int], frozenset[int]]] = []
+    for cons in constraints:
+        if not all(a in id_of for a in cons.pos):
+            continue
+        neg = [id_of[a] for a in cons.neg if a in id_of]
+        if any(n in fact_ids for n in neg):
+            continue
+        pos = [p for p in map(id_of.__getitem__, cons.pos) if p not in fact_ids]
+        if not pos and not neg:
+            always_violated = True
+        elif neg or len(pos) > 2 or not derivable.isdisjoint(pos):
+            deferred.append((frozenset(pos), frozenset(neg)))
+        elif len(pos) == 1:
+            forbidden.add(pos[0])
+        else:
+            a, b = pos
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+    return Route(always_violated, frozenset(forbidden),
+                 {a: tuple(bs) for a, bs in partners.items()}, tuple(deferred))
+
+
+def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton) -> dict[tuple, GroundConstraint]:
     """A constraint's instances, or a cardinality-equality head's instances
-    whose count is off, as ground constraints: in order, each pair once."""
+    whose count is off, as ground constraints in order, each keyed by its
+    dedup key (pos and neg as sets), so each pair of sets comes once."""
     source = stmt.source_text
     stmt_plan = _Plan(stmt.body, skeleton.dependent, source)
     is_constraint = isinstance(stmt, Constraint)
@@ -647,8 +753,8 @@ def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton)
         (_term_fn(el.lhs, source), el.op, _term_fn(el.rhs, source), _test_fn(el.op, el.negated))
         for el in stmt.elements
     ]
-    out: list[GroundConstraint] = []
-    seen: set[tuple] = set()
+    id_of = skeleton.program.symbols.id_of
+    out: dict[tuple, GroundConstraint] = {}
     for binding, pos_dep, neg_dep in _residual_instances(stmt_plan, skeleton.possible, skeleton.base):
         if not is_constraint:
             # ground elements form a set: two element comparisons that
@@ -666,15 +772,20 @@ def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton)
                     true_count += 1
             if true_count == stmt.count:
                 continue
-        _add_constraint(out, seen, GroundConstraint(tuple(pos_dep), tuple(neg_dep), source))
+        key = _dedup_key(pos_dep, neg_dep, id_of)
+        if key not in out:
+            out[key] = GroundConstraint(tuple(pos_dep), tuple(neg_dep), source)
     return out
 
 
-def _add_constraint(out: list[GroundConstraint], seen: set, cons: GroundConstraint) -> None:
-    key = (frozenset(cons.pos), frozenset(cons.neg))
-    if key not in seen:
-        seen.add(key)
-        out.append(cons)
+def _dedup_key(pos, neg, id_of: dict[GroundAtom, int]) -> tuple:
+    """What a constraint is as a pair of sets, pos and neg, in a form equal
+    across statements: its sorted atom ids, a negated one as ~id, or, when
+    it has an atom the skeleton did not intern, the sets themselves."""
+    try:
+        return tuple(sorted([id_of[a] for a in pos] + [~id_of[a] for a in neg]))
+    except KeyError:
+        return frozenset(pos), frozenset(neg)
 
 
 def _require_independent(body: tuple[Literal, ...], dependent: set[tuple[str, int]], source: str) -> None:

@@ -1,16 +1,20 @@
 """Model enumeration for ground programs.
 
 Two engines live here, and they share nothing but the `GroundProgram` they
-read. `enumerate_models` is the production path: it interns atoms, routes
-each constraint once, to search-time pruning or to a check on complete
-models, and backtracks over choice groups (at most NODE_BUDGET nodes). It
-closes each full selection under the rules to the well-founded model, as
-the grounder does. `brute_force_models` is the test oracle, written from the
-definition of a stable model (Gelfond-Lifschitz 1988): it guesses each
-choice's selection and the truth of each negated rule head, takes the least
-model of the reduct, and keeps it when that model reproduces the guess and
-fires no constraint. Both read the same grounder's output, so comparing them
-checks enumeration, not grounding.
+read. `enumerate_models` is the production path. It works on the
+skeleton's atoms interned to ints (`gp.symbols`) and merges the routes the
+grounder compiled once per constraint statement (`gp.routes`): pruning
+during search, or a check on complete models. It backtracks over choice
+groups (at most NODE_BUDGET nodes), closes each full selection under the
+rules to the well-founded model, as the grounder does, and builds the
+models' GroundAtom sets only in `_externalize`. `brute_force_models` is the
+test oracle, written from the definition of a stable model
+(Gelfond-Lifschitz 1988): it guesses each choice's selection and the truth
+of each negated rule head, takes the least model of the reduct, and keeps
+it when that model reproduces the guess and fires no constraint. It reads
+the ground atoms, rules and constraints, never the interned tables. Both
+read the same grounder's output, so comparing them checks enumeration, not
+grounding.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .ground import GroundProgram, UnsupportedProgram
+from .ground import GroundProgram, Symbols, UnsupportedProgram
 from .syntax import GroundAtom, ground_atom_key
 
 
@@ -36,76 +40,36 @@ NODE_BUDGET = 20_000_000
 
 
 @dataclass
-class _Compiled:
-    """Interned, index-accelerated view of a ground program."""
+class _Search:
+    """One solve's tables: the skeleton's interned atoms, facts and rules,
+    and the program's constraint routes merged."""
 
-    atom_of: list[GroundAtom]
-    fact_ids: frozenset[int]
-    groups: list[tuple[int, int | None, tuple[int, ...]]]
-    rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
+    symbols: Symbols
+    groups: list[tuple[int, int | None, tuple[int, ...]]]  # dead candidates dropped
     pair_partners: dict[int, set[int]]
     deferred: list[tuple[frozenset[int], frozenset[int]]]  # checked on complete models
-    always_violated: bool
     # some candidate can be true other than through its own group's selection
     check_bounds: bool
 
 
-def _compile(gp: GroundProgram) -> _Compiled:
-    id_of: dict[GroundAtom, int] = {}  # in id order
-
-    def intern(atom: GroundAtom) -> int:
-        return id_of.setdefault(atom, len(id_of))
-
-    fact_ids = frozenset(intern(a) for a in sorted(gp.facts, key=ground_atom_key))
-    groups = [
-        (ch.lower, ch.upper, tuple(intern(c) for c in ch.candidates)) for ch in gp.choices
-    ]
-    rules = [
-        (intern(r.head), tuple(intern(a) for a in r.pos), tuple(intern(a) for a in r.neg))
-        for r in gp.rules
-    ]
-    derivable = {head for head, _, _ in rules}
-
-    always_violated = False
-    forbidden: set[int] = set()
+def _search(gp: GroundProgram) -> _Search:
+    """Merge the routes of `gp`'s constraint statements over its symbols."""
+    symbols = gp.symbols
+    forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
     pair_partners: dict[int, set[int]] = {}
-    deferred: list[tuple[frozenset[int], frozenset[int]]] = []
-
-    for cons in gp.constraints:
-        pos = [intern(a) for a in cons.pos]
-        neg = [intern(a) for a in cons.neg]
-        # facts are in every model: positive fact literals vanish, a negated
-        # fact makes the constraint unviolatable
-        if any(n in fact_ids for n in neg):
-            continue
-        pos = [p for p in pos if p not in fact_ids]
-        if not pos and not neg:
-            always_violated = True
-        elif neg or len(pos) > 2 or not derivable.isdisjoint(pos):
-            deferred.append((frozenset(pos), frozenset(neg)))
-        # the rest names atoms that only a selection makes true: a forbidden
-        # atom is a dead candidate, a forbidden pair prunes during search
-        elif len(pos) == 1:
-            forbidden.add(pos[0])
-        else:
-            a, b = pos
-            pair_partners.setdefault(a, set()).add(b)
-            pair_partners.setdefault(b, set()).add(a)
-
+    for route in gp.routes:
+        for a, partners in route.partners.items():
+            pair_partners.setdefault(a, set()).update(partners)
     groups = [(lower, upper, tuple(c for c in cands if c not in forbidden))
-              for lower, upper, cands in groups]
+              for lower, upper, cands in symbols.groups]
     candidates = [c for _, _, cands in groups for c in cands]
     check_bounds = (len(candidates) != len(set(candidates))
-                    or not (derivable | fact_ids).isdisjoint(candidates))
-
-    return _Compiled(
-        atom_of=list(id_of),
-        fact_ids=fact_ids,
+                    or not (symbols.derivable | symbols.fact_ids).isdisjoint(candidates))
+    return _Search(
+        symbols=symbols,
         groups=groups,
-        rules=rules,
         pair_partners=pair_partners,
-        deferred=deferred,
-        always_violated=always_violated,
+        deferred=[cons for route in gp.routes for cons in route.deferred],
         check_bounds=check_bounds,
     )
 
@@ -134,17 +98,18 @@ def _rule_closure(base: frozenset[int], rules, negative_against) -> frozenset[in
     return frozenset(out)
 
 
-def _complete_model(comp: _Compiled, base: frozenset[int]) -> frozenset[int] | None:
+def _complete_model(comp: _Search, base: frozenset[int]) -> frozenset[int] | None:
     """Close facts plus a full selection under the rules and check what
     search-time pruning could not decide. Returns the model or None."""
     model = base
-    if comp.rules:
-        high = _rule_closure(base, comp.rules, frozenset())
-        model = _rule_closure(base, comp.rules, high)
-        while (upper := _rule_closure(base, comp.rules, model)) != high:
-            high, model = upper, _rule_closure(base, comp.rules, upper)
+    rules = comp.symbols.rules
+    if rules:
+        high = _rule_closure(base, rules, frozenset())
+        model = _rule_closure(base, rules, high)
+        while (upper := _rule_closure(base, rules, model)) != high:
+            high, model = upper, _rule_closure(base, rules, upper)
         if model != high:
-            raise UnsupportedProgram(comp.atom_of[i] for i in high - model)
+            raise UnsupportedProgram(comp.symbols.atom_of[i] for i in high - model)
     for pos, neg in comp.deferred:
         if pos <= model and not (neg & model):
             return None
@@ -156,15 +121,13 @@ def _complete_model(comp: _Compiled, base: frozenset[int]) -> frozenset[int] | N
     return model
 
 
-def _externalize(comp: _Compiled, models: set[frozenset[int]]) -> list[frozenset[GroundAtom]]:
-    """Sort models by their sorted atom keys. Atoms are ranked once by
-    `ground_atom_key`, and a model sorts by its sorted ranks, the same order."""
-    atom_of = comp.atom_of
-    rank = [0] * len(atom_of)
-    for r, i in enumerate(sorted(range(len(atom_of)), key=lambda i: ground_atom_key(atom_of[i]))):
-        rank[i] = r
+def _externalize(symbols: Symbols, models: set[frozenset[int]]) -> list[frozenset[GroundAtom]]:
+    """Sort models by their sorted atom keys: a model sorts by its atoms'
+    sorted `ground_atom_key` ranks, the same order."""
+    rank = symbols.rank
+    atom_of = symbols.atom_of
     ordered = sorted(models, key=lambda m: sorted([rank[i] for i in m]))
-    return [frozenset(atom_of[i] for i in m) for m in ordered]
+    return [frozenset([atom_of[i] for i in m]) for m in ordered]
 
 
 def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[list[frozenset[GroundAtom]], bool]:
@@ -175,9 +138,9 @@ def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[list[froz
     returned sorted by their sorted atom vector, so the order never depends
     on search order.
     """
-    comp = _compile(gp)
-    if comp.always_violated:
+    if any(route.always_violated for route in gp.routes):
         return [], True
+    comp = _search(gp)
 
     found: set[frozenset[int]] = set()
     exhausted = True
@@ -185,7 +148,7 @@ def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[list[froz
     groups = comp.groups
     partners = comp.pair_partners
 
-    current: set[int] = set(comp.fact_ids)
+    current: set[int] = set(comp.symbols.fact_ids)
 
     def walk(level: int) -> bool:
         """Returns False to stop the whole search (cap or budget)."""
@@ -226,7 +189,7 @@ def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[list[froz
         # program, the models found) stays in a reference cycle until the
         # next full garbage collection
         del walk
-    return _externalize(comp, found), exhausted
+    return _externalize(comp.symbols, found), exhausted
 
 
 def brute_force_models(

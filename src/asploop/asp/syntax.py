@@ -160,6 +160,19 @@ Statement = Union[Fact, Rule, Constraint, Choice, CardinalityRule]
 class GroundAtom:
     pred: str
     args: tuple[GroundValue, ...] = ()
+    # the dataclass hash of (pred, args), computed once: ground atoms live in
+    # the grounder's and the enumerator's sets and dicts
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a str hash differs between processes: recompute it on unpickling
+        return GroundAtom, (self.pred, self.args)
 
     @property
     def arity(self) -> int:

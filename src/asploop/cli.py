@@ -153,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared plumbing
 
 def _make_gateway(args) -> SolverGateway:
+    if args.cap is not None and args.cap < 0:
+        raise CliConfigError("--cap must be non-negative")
     return SolverGateway(
         backend=args.solver,
         solver_cmd=args.solver_cmd,
@@ -197,6 +199,14 @@ def _read_preamble(args) -> str | None:
     if not path.is_file():
         raise CliConfigError(f"preamble file not found: {path}")
     return path.read_text(encoding="utf-8")
+
+
+def _config(cls, **fields):
+    """A DfsConfig or SearchConfig; a value it rejects is a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise CliConfigError(str(exc)) from exc
 
 
 def _map_ordered(fn, items, jobs: int) -> list:
@@ -296,7 +306,8 @@ def cmd_datagen(args) -> int:
     dataset, instances = _load_instances(args)
     factory, generator_desc = _generator_setup(args)
     gateway = _make_gateway(args)
-    config = DfsConfig(
+    config = _config(
+        DfsConfig,
         n_samples=args.n_samples,
         temperature=args.temperature,
         max_chosen_branch=args.max_chosen_branch,
@@ -353,7 +364,8 @@ def cmd_datagen(args) -> int:
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(
+    return _config(
+        SearchConfig,
         n=args.n,
         temperature=args.temperature,
         backtrack_limit=args.backtrack_limit,

@@ -69,6 +69,12 @@ class DfsConfig:
     shots: tuple = ()
     preamble: str | None = None
 
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        if self.max_chosen_branch < 0:
+            raise ValueError("max_chosen_branch must be non-negative")
+
 
 def classification_cap(instance: PuzzleInstance, cap: int | None) -> int:
     """Solving cap for labeling: headroom of 4x the expected model count so

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from asploop.asp import (
     render_ground_atom,
     solve,
 )
+from asploop.asp import ground
 from asploop.asp.ground import _ground_skeleton
 from asploop.asp.syntax import AtomLit, Rule
 from asploop.gateway import SolverGateway
@@ -255,19 +257,26 @@ def test_ground_atom_budget_stops_an_unbounded_program():
 # The skeleton cache: facts, rules and choices are grounded once per content,
 # constraint statements once per skeleton
 
-def ground_snapshot(text):
-    """The ordered ground program, sources included, or the error message."""
+def ground_snapshot(text, models=False):
+    """The ordered ground program, sources included, or the error message;
+    with `models`, paired with the ordered models or the enumerator's error."""
     try:
         gp = grounded(text)
     except GroundingError as exc:
         return f"GroundingError: {exc}"
-    return (
+    snapshot = (
         gp.facts,
         gp.possible,
         tuple((c.lower, c.upper, c.candidates, c.source) for c in gp.choices),
         tuple((r.head, r.pos, r.neg, r.source) for r in gp.rules),
         tuple((c.pos, c.neg, c.source) for c in gp.constraints),
     )
+    if not models:
+        return snapshot
+    try:
+        return snapshot, tuple(enumerate_models(gp)[0])
+    except (GroundingError, EnumerationBudgetError) as exc:
+        return snapshot, f"{type(exc).__name__}: {exc}"
 
 
 def reference_prefixes(instance_ids=None):
@@ -287,12 +296,12 @@ def test_warm_ground_equals_cold_ground():
     cold = {}
     for text in programs:
         _ground_skeleton.cache_clear()
-        cold[text] = hash(ground_snapshot(text))
+        cold[text] = hash(ground_snapshot(text, models=True))
     shuffled = list(programs)
     random.Random(4).shuffle(shuffled)
     _ground_skeleton.cache_clear()
     for text in programs + shuffled:
-        assert hash(ground_snapshot(text)) == cold[text], text
+        assert hash(ground_snapshot(text, models=True)) == cold[text], text
 
 
 def test_threads_sharing_the_skeleton_cache_get_the_cold_result():
@@ -300,13 +309,13 @@ def test_threads_sharing_the_skeleton_cache_get_the_cold_result():
     cold = {}
     for text in programs:
         _ground_skeleton.cache_clear()
-        cold[text] = ground_snapshot(text)
+        cold[text] = ground_snapshot(text, models=True)
     _ground_skeleton.cache_clear()
 
     def work(seed):
         order = programs * 3
         random.Random(seed).shuffle(order)
-        return [text for text in order if ground_snapshot(text) != cold[text]]
+        return [text for text in order if ground_snapshot(text, models=True) != cold[text]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -365,6 +374,58 @@ def test_same_constraint_keeps_each_programs_source():
     sources = [{c.source for c in grounded(DELTA_BASE + text).constraints} for text in
                (":- s(X), X > 2.", ":- s(X), (X) > 2.")]
     assert sources == [{":- s ( X ) , X > 2 ."}, {":- s ( X ) , ( X ) > 2 ."}]
+
+
+def test_a_warm_solve_compiles_only_its_new_statement(monkeypatch):
+    compiled = []
+    compile_statement = ground._compile_statement
+
+    def counting(stmt, skeleton):
+        compiled.append(stmt.source_text)
+        return compile_statement(stmt, skeleton)
+
+    monkeypatch.setattr(ground, "_compile_statement", counting)
+    blocks = fixtures.reference_blocks("event_planning")
+    _ground_skeleton.cache_clear()
+    for k in (0, 1):
+        models_of("\n\n".join((blocks.base, *blocks.hints[:k])))
+    compiled.clear()
+    assert len(models_of("\n\n".join((blocks.base, *blocks.hints[:2])))) == 18
+    assert compiled == [stmt.source_text for stmt in parse_program(blocks.hints[1]).statements]
+    assert len(compiled) == 1
+
+
+# The ordered models, or the error, of every reference prefix and
+# cross-check program, as one sha256 each of
+# json.dumps([exhausted, [[rendered atom, ...] sorted by ground_atom_key, ...]])
+# or of json.dumps("ErrorType: message"). Recorded with the enumerator that
+# compiled every constraint on each solve; re-record on purpose only.
+MODEL_ORDER = Path(__file__).with_name("model_order.json")
+
+
+def model_order_digests():
+    programs = {}
+    for instance in fixtures.puzzles():
+        blocks = fixtures.reference_blocks(instance.id)
+        for k in range(len(blocks.hints) + 1):
+            programs[f"{instance.id}+{k}"] = "\n\n".join((blocks.base, *blocks.hints[:k]))
+    programs.update(fixtures.crosscheck_programs())
+    digests = {}
+    for name, text in programs.items():
+        try:
+            models, exhausted = enumerate_models(grounded(text))
+            outcome = [exhausted, [[render_ground_atom(a) for a in sorted(m, key=ground_atom_key)]
+                                   for m in models]]
+        except (GroundingError, EnumerationBudgetError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digests[name] = hashlib.sha256(json.dumps(outcome).encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_model_order_is_pinned():
+    pinned = json.loads(MODEL_ORDER.read_text(encoding="utf-8"))
+    assert len(pinned) == 41 + 27
+    assert model_order_digests() == pinned
 
 
 @pytest.mark.parametrize("instance_id", ["tattoo_parlor", "harbor_cruises"])

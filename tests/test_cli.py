@@ -308,3 +308,30 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(["frobnicate"])
     assert info.value.code == 2
+
+
+# command, the flag and its bad value, what the one error line names
+BAD_NUMBERS = {
+    "eval-n-zero": ("eval", ["--n", "0"], "n must be at least 1"),
+    "search-negative-backtrack-limit": ("search", ["--backtrack-limit", "-1"], "backtrack_limit"),
+    "datagen-no-samples": ("datagen", ["--n-samples", "0"], "n_samples must be at least 1"),
+    "datagen-negative-branch": ("datagen", ["--max-chosen-branch", "-1"], "max_chosen_branch"),
+    "solve-negative-cap": ("solve", ["--cap", "-1"], "--cap must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("command, flag, message", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_bad_numbers_are_usage_errors(tmp_path, event_dataset, program, capsys, command, flag, message):
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", program(GOLDEN)]
+    else:
+        fixture = "datagen_splits" if command == "datagen" else "search_e2e"
+        argv = [command, "--dataset", event_dataset, "--out", str(out),
+                "--generator-fixture", str(fixtures.scripted_path(fixture))]
+    assert run_cli(argv + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("asploop: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not out.exists()
