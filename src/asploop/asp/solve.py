@@ -69,7 +69,8 @@ def _search(gp: GroundProgram) -> _Search:
         symbols=symbols,
         groups=groups,
         pair_partners=pair_partners,
-        deferred=[cons for route in gp.routes for cons in route.deferred],
+        # statements can share a constraint: check each once
+        deferred=list(dict.fromkeys(cons for route in gp.routes for cons in route.deferred)),
         check_bounds=check_bounds,
     )
 

@@ -505,6 +505,23 @@ def test_gateway_agrees_with_the_oracle_on_hand_counted_programs():
     assert auto.models == brute_force_models(grounded(LOOPS_AFTER_A_CHOICE))
 
 
+def test_a_constraint_only_an_underivable_atom_satisfies_leaves_no_models():
+    # r needs q, which nothing derives, so `:- not r.` fires in every model:
+    # there is no model, and the negation loop behind {p} is never reached
+    gp = grounded("{p}. a :- p, not b. b :- p, not a. r :- p, q. :- not r.")
+    assert [(c.pos, c.neg) for c in gp.constraints] == [((), (parse_ground_atom("r"),))]
+    assert enumerate_models(gp) == ([], True)
+    assert brute_force_models(gp) == []
+
+
+def test_a_constraint_two_statements_share_is_checked_once():
+    gp = grounded("{p; q}. r :- p. :- r, q. :- q, r.")
+    assert len(gp.constraints) == 1
+    assert len(gp.routes) == 2
+    assert len(solve._search(gp).deferred) == 1
+    assert models_of("{p; q}. r :- p. :- r, q. :- q, r.") == {frozenset(), frozenset({"p", "r"}), frozenset({"q"})}
+
+
 @pytest.mark.parametrize("text", ["p :- not q. q :- not p.", "p :- not p."])
 def test_negation_looping_through_facts_is_an_error_from_both_backends(text):
     with pytest.raises(GroundingError, match="negation loops through p"):
