@@ -119,29 +119,23 @@ class Symbols:
     """The skeleton's atoms interned to ints, and its facts, choice groups
     and rules over them, for the enumerator. Built once per skeleton and
     never changed after, so threads share it. Facts, choice candidates and
-    rule atoms are interned; any other atom is false in every model.
-    rank[i] is atom i's place in `ground_atom_key` order."""
+    rule atoms are interned; any other atom is false in every model. Ids
+    follow `ground_atom_key` order, so sorting ids sorts their atoms."""
 
-    __slots__ = ("atom_of", "id_of", "rank", "fact_ids", "groups", "rules", "derivable")
+    __slots__ = ("atom_of", "id_of", "fact_ids", "groups", "rules", "derivable")
 
     def __init__(self, facts, choices: list[GroundChoice], rules: list[GroundRule]):
-        id_of: dict[GroundAtom, int] = {}  # in id order
-
-        def intern(atom: GroundAtom) -> int:
-            return id_of.setdefault(atom, len(id_of))
-
-        self.fact_ids = frozenset(intern(a) for a in facts)
-        self.groups = [(ch.lower, ch.upper, tuple(intern(c) for c in ch.candidates)) for ch in choices]
+        atoms = dict.fromkeys(itertools.chain(
+            facts, *(ch.candidates for ch in choices), *((r.head, *r.pos, *r.neg) for r in rules)))
+        self.atom_of = sorted(atoms, key=ground_atom_key)
+        id_of = self.id_of = {atom: i for i, atom in enumerate(self.atom_of)}
+        self.fact_ids = frozenset(id_of[a] for a in facts)
+        self.groups = [(ch.lower, ch.upper, tuple(id_of[c] for c in ch.candidates)) for ch in choices]
         self.rules = [
-            (intern(r.head), tuple(intern(a) for a in r.pos), tuple(intern(a) for a in r.neg))
+            (id_of[r.head], tuple(id_of[a] for a in r.pos), tuple(id_of[a] for a in r.neg))
             for r in rules
         ]
         self.derivable = frozenset(head for head, _, _ in self.rules)
-        self.id_of = id_of
-        self.atom_of = list(id_of)
-        self.rank = [0] * len(id_of)
-        for r, i in enumerate(sorted(range(len(id_of)), key=lambda i: ground_atom_key(self.atom_of[i]))):
-            self.rank[i] = r
 
 
 @dataclass(frozen=True)

@@ -123,12 +123,10 @@ def _complete_model(comp: _Search, base: frozenset[int]) -> frozenset[int] | Non
 
 
 def _externalize(symbols: Symbols, models: set[frozenset[int]]) -> list[frozenset[GroundAtom]]:
-    """Sort models by their sorted atom keys: a model sorts by its atoms'
-    sorted `ground_atom_key` ranks, the same order."""
-    rank = symbols.rank
+    """Sort models by their sorted atom keys: ids follow `ground_atom_key`
+    order, so a model's sorted ids sort the same way."""
     atom_of = symbols.atom_of
-    ordered = sorted(models, key=lambda m: sorted([rank[i] for i in m]))
-    return [frozenset([atom_of[i] for i in m]) for m in ordered]
+    return [frozenset([atom_of[i] for i in m]) for m in sorted(models, key=sorted)]
 
 
 def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[list[frozenset[GroundAtom]], bool]:

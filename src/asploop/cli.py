@@ -185,6 +185,8 @@ def _load_instances(args):
         raise CliConfigError(f"dataset not found: {path}")
     try:
         instances = load_dataset(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliConfigError(f"cannot read {path}: {exc}") from exc
     except (PuzzleFormatError, json.JSONDecodeError) as exc:
         raise CliConfigError(f"bad dataset {path}: {exc}") from exc
     if not instances:
@@ -192,13 +194,20 @@ def _load_instances(args):
     return path, instances
 
 
+def _read_text(path: Path, missing: str) -> str:
+    """A UTF-8 input file's text; a missing or unreadable one is a usage error."""
+    if not path.is_file():
+        raise CliConfigError(f"{missing} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_preamble(args) -> str | None:
     if args.preamble is None:
         return None
-    path = Path(args.preamble)
-    if not path.is_file():
-        raise CliConfigError(f"preamble file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    return _read_text(Path(args.preamble), "preamble file")
 
 
 def _config(cls, **fields):
@@ -220,37 +229,8 @@ def _config_snapshot(args) -> dict:
     return {key: value for key, value in sorted(vars(args).items()) if key != "command"}
 
 
-def _write_manifest(
-    out_dir: Path,
-    *,
-    command: str,
-    args,
-    dataset: Path,
-    generator_desc: dict,
-    started_at: str,
-    artifacts: dict[str, str],
-    status: str,
-    error: str | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "config": _config_snapshot(args),
-        "dataset": {"path": str(dataset), "sha256": _sha256_file(dataset)},
-        "generator": generator_desc,
-        "solver": {
-            "backend": args.solver,
-            "cmd": args.solver_cmd,
-        },
-        "seed": args.seed,
-        "reproducible": generator_desc["kind"] == "scripted",
-        "started_at": started_at,
-        "finished_at": _utc_now(),
-        "artifacts": artifacts,
-        "status": status,
-        "error": error,
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_per_instance_csv(path: Path, report: dict, instances) -> None:
@@ -280,12 +260,8 @@ def _write_per_instance_csv(path: Path, report: dict, instances) -> None:
 # Subcommands
 
 def cmd_solve(args) -> int:
-    path = Path(args.program)
-    if not path.is_file():
-        print(f"asploop: program file not found: {path}", file=sys.stderr)
-        return EXIT_CONFIG
-    gateway = _make_gateway(args)
-    verdict = gateway.solve(path.read_text(encoding="utf-8"))
+    text = _read_text(Path(args.program), "program file")
+    verdict = _make_gateway(args).solve(text)
 
     print(f"models: {verdict.model_count}")
     print(f"flags: {verdict.flag or 'none'}")
@@ -302,11 +278,56 @@ def cmd_solve(args) -> int:
     return EXIT_RUNTIME if verdict.flag == "error" else EXIT_OK
 
 
-def cmd_datagen(args) -> int:
+def _run(args, command: str, make_config, write_artifacts) -> int:
+    """The run every artifact command shares. Loading the dataset and
+    setting up the generator, gateway and config come first; a failure
+    there is a usage error and creates nothing. Then
+    `write_artifacts(instances, factory, config, gateway, out_dir,
+    artifacts)` writes into --out, naming each file it writes in
+    `artifacts`, and returns the summary line. Once --out exists, the run
+    leaves one manifest.json in it, complete or failed."""
     dataset, instances = _load_instances(args)
     factory, generator_desc = _generator_setup(args)
     gateway = _make_gateway(args)
-    config = _config(
+    config = make_config(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started_at = _utc_now()
+    artifacts: dict[str, str] = {}
+
+    def write_manifest(status: str, error: str | None = None) -> None:
+        manifest = {
+            "command": command,
+            "config": _config_snapshot(args),
+            "dataset": {"path": str(dataset), "sha256": _sha256_file(dataset)},
+            "generator": generator_desc,
+            "solver": {
+                "backend": args.solver,
+                "cmd": args.solver_cmd,
+            },
+            "seed": args.seed,
+            "reproducible": generator_desc["kind"] == "scripted",
+            "started_at": started_at,
+            "finished_at": _utc_now(),
+            "artifacts": artifacts,
+            "status": status,
+            "error": error,
+        }
+        _write_json(out_dir / "manifest.json", manifest)
+
+    try:
+        summary = write_artifacts(instances, factory, config, gateway, out_dir, artifacts)
+    except (GeneratorError, SearchError, OSError) as exc:
+        write_manifest("failed", str(exc))
+        print(f"asploop {command}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    write_manifest("complete")
+    print(summary)
+    return EXIT_OK
+
+
+def _dfs_config(args) -> DfsConfig:
+    return _config(
         DfsConfig,
         n_samples=args.n_samples,
         temperature=args.temperature,
@@ -314,11 +335,10 @@ def cmd_datagen(args) -> int:
         cap=args.cap,
         preamble=_read_preamble(args),
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started_at = _utc_now()
-    artifacts: dict[str, str] = {}
-    try:
+
+
+def cmd_datagen(args) -> int:
+    def write_artifacts(instances, factory, config, gateway, out_dir, artifacts) -> str:
         results = _map_ordered(
             lambda inst: run_dfs(inst, factory(), config, gateway), instances, args.jobs
         )
@@ -332,35 +352,20 @@ def cmd_datagen(args) -> int:
         export(pref_all, out_dir / "pref.jsonl", "pref-jsonl")
         artifacts["pref"] = "pref.jsonl"
         aborted = [s["instance_id"] for s in stats_all if s["aborted_reason"]]
-        stats_payload = {
+        _write_json(out_dir / "stats.json", {
             "instances": stats_all,
             "sft_records": len(sft_all),
             "pref_records": len(pref_all),
             "aborted_instances": aborted,
-        }
-        (out_dir / "stats.json").write_text(
-            json.dumps(stats_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        })
         artifacts["stats"] = "stats.json"
-    except (GeneratorError, OSError) as exc:
-        _write_manifest(
-            out_dir, command="datagen", args=args, dataset=dataset,
-            generator_desc=generator_desc, started_at=started_at,
-            artifacts=artifacts, status="failed", error=str(exc),
+        return (
+            f"datagen: {len(instances)} instances, {len(sft_all)} sft records, "
+            f"{len(pref_all)} preference pairs"
+            + (f", {len(aborted)} aborted" if aborted else "")
         )
-        print(f"asploop datagen: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    _write_manifest(
-        out_dir, command="datagen", args=args, dataset=dataset,
-        generator_desc=generator_desc, started_at=started_at,
-        artifacts=artifacts, status="complete",
-    )
-    print(
-        f"datagen: {len(instances)} instances, {len(sft_all)} sft records, "
-        f"{len(pref_all)} preference pairs"
-        + (f", {len(aborted)} aborted" if aborted else "")
-    )
-    return EXIT_OK
+
+    return _run(args, "datagen", _dfs_config, write_artifacts)
 
 
 def _search_config(args) -> SearchConfig:
@@ -376,21 +381,13 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _run_search_command(args, *, command: str, write_traces: bool) -> int:
-    dataset, instances = _load_instances(args)
-    factory, generator_desc = _generator_setup(args)
-    gateway = _make_gateway(args)
-    config = _search_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started_at = _utc_now()
-    artifacts: dict[str, str] = {}
-    try:
+def _run_search_command(args, command: str) -> int:
+    def write_artifacts(instances, factory, config, gateway, out_dir, artifacts) -> str:
         outcomes = _map_ordered(
             lambda inst: run_search(inst, factory(), config, gateway), instances, args.jobs
         )
         report = evaluate_accuracy(outcomes, instances)
-        if write_traces:
+        if command == "search":
             with open(out_dir / "traces.jsonl", "w", encoding="utf-8") as handle:
                 for instance, outcome in zip(instances, outcomes):
                     row = {
@@ -403,9 +400,7 @@ def _run_search_command(args, *, command: str, write_traces: bool) -> int:
                     }
                     handle.write(json.dumps(row, ensure_ascii=False) + "\n")
             artifacts["traces"] = "traces.jsonl"
-        (out_dir / "metrics.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(out_dir / "metrics.json", report)
         artifacts["metrics"] = "metrics.json"
         _write_per_instance_csv(out_dir / "per_instance.csv", report, instances)
         artifacts["per_instance"] = "per_instance.csv"
@@ -416,32 +411,20 @@ def _run_search_command(args, *, command: str, write_traces: bool) -> int:
                 for bucket, count in report["buckets"].items():
                     writer.writerow([bucket, count])
             artifacts["buckets"] = "buckets.csv"
-    except (GeneratorError, SearchError, OSError) as exc:
-        _write_manifest(
-            out_dir, command=command, args=args, dataset=dataset,
-            generator_desc=generator_desc, started_at=started_at,
-            artifacts=artifacts, status="failed", error=str(exc),
+        return (
+            f"{command}: {report['correct']}/{report['total']} correct "
+            f"(accuracy {report['accuracy']:.3f})"
         )
-        print(f"asploop {command}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    _write_manifest(
-        out_dir, command=command, args=args, dataset=dataset,
-        generator_desc=generator_desc, started_at=started_at,
-        artifacts=artifacts, status="complete",
-    )
-    print(
-        f"{command}: {report['correct']}/{report['total']} correct "
-        f"(accuracy {report['accuracy']:.3f})"
-    )
-    return EXIT_OK
+
+    return _run(args, command, _search_config, write_artifacts)
 
 
 def cmd_search(args) -> int:
-    return _run_search_command(args, command="search", write_traces=True)
+    return _run_search_command(args, "search")
 
 
 def cmd_eval(args) -> int:
-    return _run_search_command(args, command="eval", write_traces=False)
+    return _run_search_command(args, "eval")
 
 
 COMMANDS = {

@@ -1,15 +1,15 @@
 """Packaged puzzle corpus, reference encodings, and scripted generator data.
 
 Everything under data/ is produced by `python3 -m asploop.fixtures.build`
-from the definitions in build.py. The loaders here read those files back,
-and verify_fixtures() re-derives every stored result so that a stale or
-hand-edited data directory fails loudly instead of silently skewing tests.
+from the definitions in build.py, and the loaders here read those files
+back. A stale or hand-edited data directory fails the test suite: the drift
+test rebuilds the directory and compares it byte for byte, and
+tests/test_fixtures.py re-solves what it stores.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -117,7 +117,7 @@ def scripted_path(name: str) -> Path:
 
 
 # --------------------------------------------------------------------------
-# Solving and row mapping used both by the builder and by verification
+# Solving and row mapping used both by build.py and by the tests
 
 def solve_reference(text: str, cap: int = 2_000_000):
     """Parse, ground, and fully enumerate a trusted encoding. Any
@@ -265,151 +265,3 @@ def _tattoo_clues_hold(rows) -> bool:
     if neil_price != by_color["black"][0] + 10:
         return False
     return True
-
-
-# --------------------------------------------------------------------------
-# Verification
-
-def verify_fixtures(verbose: bool = False) -> dict:
-    """Re-derive everything the data directory stores and compare.
-
-    Returns a {check_name: summary} report; raises FixtureDriftError on the
-    first mismatch. Needs no network and no external solver.
-    """
-    report: dict[str, str] = {}
-
-    def note(name: str, summary: str) -> None:
-        report[name] = summary
-        if verbose:
-            print(f"{name}: {summary}")
-
-    instances = puzzles()
-    if len(instances) < 6:
-        raise FixtureDriftError(f"only {len(instances)} fixture puzzles, need >= 6")
-    note("puzzle-count", f"{len(instances)} instances")
-
-    sizes = {inst.size for inst in instances}
-    if not {"3x4", "4x4"} <= sizes:
-        raise FixtureDriftError(f"puzzle sizes {sorted(sizes)} lack 3x4 or 4x4")
-    difficulties = {inst.meta.get("difficulty") for inst in instances}
-    if len(difficulties - {None}) < 2:
-        raise FixtureDriftError("need at least two difficulty labels")
-    note("coverage", f"sizes {sorted(sizes)}, difficulties {sorted(difficulties - {None})}")
-
-    for inst in instances:
-        ref = reference_blocks(inst.id)
-        if len(ref.hints) != len(inst.hints):
-            raise FixtureDriftError(
-                f"{inst.id}: {len(ref.hints)} hint blocks for {len(inst.hints)} hints"
-            )
-        base_models = solve_reference(ref.base)
-        if len(base_models) != inst.expected_model_count:
-            raise FixtureDriftError(
-                f"{inst.id}: base block admits {len(base_models)} models, "
-                f"expected {inst.expected_model_count}"
-            )
-        full_models = solve_reference(ref.full_program)
-        if len(full_models) != 1:
-            raise FixtureDriftError(
-                f"{inst.id}: full reference encoding admits {len(full_models)} models"
-            )
-        rows = solution_rows_from_model(full_models[0], inst)
-        if rows != inst.solution:
-            raise FixtureDriftError(
-                f"{inst.id}: stored solution does not match the solved one:\n"
-                f"stored {inst.solution}\nsolved {rows}"
-            )
-        note(f"reference/{inst.id}",
-             f"{inst.expected_model_count} base models, unique solution agrees")
-
-    event = puzzle("event_planning")
-    expected_atoms = {
-        "assignment(anniversary,susan,75)",
-        "assignment(wedding,herbert,50)",
-        "assignment(birthday,joel,100)",
-        "assignment(graduation,teresa,125)",
-    }
-    model = solve_reference(reference_blocks("event_planning").full_program)[0]
-    got = {
-        f"{a.pred}({','.join(str(v) for v in a.args)})"
-        for a in model
-        if a.pred == "assignment"
-    }
-    if got != expected_atoms:
-        raise FixtureDriftError(f"event_planning atoms drifted: {sorted(got)}")
-    note("event-planning-atoms", "all four assignment atoms as published")
-    del event
-
-    oracle = tattoo_oracle_rows()
-    tattoo = puzzle("tattoo_parlor")
-    maps = member_lookup(tattoo)
-    oracle_surfaces = tuple(
-        tuple(maps[j][normalize_surface(v)] for j, v in enumerate(row))
-        for row in oracle
-    )
-    if oracle_surfaces != tattoo.solution:
-        raise FixtureDriftError(
-            f"tattoo oracle disagrees with stored solution:\n"
-            f"oracle {oracle_surfaces}\nstored {tattoo.solution}"
-        )
-    note("tattoo-oracle", "permutation oracle agrees with the solved encoding")
-
-    listing = unsafe_event_listing()
-    result = parse_program(listing)
-    if result.diagnostics:
-        raise FixtureDriftError("unsafe listing should parse; it only grounds badly")
-    from ..asp import GroundingError
-
-    try:
-        ground_program(result.statements)
-    except GroundingError as exc:
-        if "unsafe variable A1" not in str(exc):
-            raise FixtureDriftError(f"unexpected grounding failure: {exc}") from exc
-    else:
-        raise FixtureDriftError("unsafe listing grounded without complaint")
-    note("unsafe-listing", "grounding rejects the unbound A1")
-
-    programs = crosscheck_programs()
-    if len(programs) < 20:
-        raise FixtureDriftError(f"crosscheck corpus has {len(programs)} programs, need >= 20")
-    from ..asp import brute_force_models
-
-    for name, text in programs:
-        result = parse_program(text)
-        if result.diagnostics:
-            raise FixtureDriftError(f"crosscheck {name} has diagnostics")
-        gp = ground_program(result.statements)
-        enumerated, exhausted = enumerate_models(gp, cap=100_000)
-        if not exhausted:
-            raise FixtureDriftError(f"crosscheck {name} exceeded the model cap")
-        brute = brute_force_models(gp)
-        if set(enumerated) != set(brute):
-            raise FixtureDriftError(
-                f"crosscheck {name}: enumeration found {len(enumerated)} models, "
-                f"brute force {len(brute)}"
-            )
-    note("crosscheck", f"{len(programs)} programs agree with brute force")
-
-    manifest = json.loads((data_dir() / "manifest.json").read_text(encoding="utf-8"))
-    for name in SCRIPTED_NAMES:
-        path = scripted_path(name)
-        rows = 0
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                row = json.loads(line)
-                digest = row["prompt_sha256"]
-                if not re.fullmatch(r"[0-9a-f]{64}", digest):
-                    raise FixtureDriftError(f"{name}: bad prompt hash {digest!r}")
-                if not row["completions"]:
-                    raise FixtureDriftError(f"{name}: empty completion list")
-                if len(row["completions"]) != len(row["token_counts"]):
-                    raise FixtureDriftError(f"{name}: token counts out of step")
-                rows += 1
-        expected_rows = manifest["scripted_rows"][name]
-        if rows != expected_rows:
-            raise FixtureDriftError(
-                f"{name}: {rows} fixture rows, manifest says {expected_rows}"
-            )
-        note(f"scripted/{name}", f"{rows} prompt queues")
-
-    return report

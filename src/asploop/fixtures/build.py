@@ -1,7 +1,7 @@
 """Rebuild the fixture data directory.
 
 Usage:
-    python3 -m asploop.fixtures.build [--verbose]
+    python3 -m asploop.fixtures.build [--out DIR] [--verbose]
 
 The puzzle definitions live here, as do the candidate pools behind the
 scripted generator fixtures. Solutions are never typed in: every puzzle's
@@ -36,7 +36,6 @@ from . import (
     solution_rows_from_model,
     solve_reference,
     tattoo_oracle_rows,
-    verify_fixtures,
 )
 
 
@@ -1225,11 +1224,7 @@ def main(argv=None) -> int:
 
     out = Path(args.out) if args.out else data_dir()
     build_all(out, verbose=args.verbose)
-    if args.out is None:
-        report = verify_fixtures(verbose=args.verbose)
-        print(f"fixture data rebuilt and verified ({len(report)} checks)")
-    else:
-        print(f"fixture data rebuilt at {out}")
+    print(f"fixture data rebuilt at {out}; tests/test_fixtures.py and the drift test check it")
     return 0
 
 

@@ -55,7 +55,8 @@ class ScriptedGenerator:
     Each line holds {"prompt_sha256", "completions", "token_counts"}; lines
     sharing a hash extend one queue in file order. Successive calls for the
     same prompt consume successive slices of its queue, so a re-generation
-    pass naturally receives fresh completions.
+    pass naturally receives fresh completions. A malformed line raises
+    GeneratorError naming the file and line.
     """
 
     name = "scripted"
@@ -64,25 +65,15 @@ class ScriptedGenerator:
         self.path = Path(path)
         self._queues: dict[str, list[RawCompletion]] = {}
         self._cursors: dict[str, int] = {}
-        with open(self.path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
+        with open(self.path, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
                 try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    row = _fixture_row(raw)
+                except ValueError as exc:
                     raise GeneratorError(f"{self.path}:{lineno}: bad fixture line: {exc}") from exc
-                completions = row["completions"]
-                counts = row.get("token_counts") or [0] * len(completions)
-                if len(counts) != len(completions):
-                    raise GeneratorError(
-                        f"{self.path}:{lineno}: token_counts length differs from completions"
-                    )
-                queue = self._queues.setdefault(row["prompt_sha256"], [])
-                queue.extend(
-                    RawCompletion(text, int(count))
-                    for text, count in zip(completions, counts)
-                )
+                if row is not None:
+                    digest, completions = row
+                    self._queues.setdefault(digest, []).extend(completions)
 
     def complete(self, prompt: str, n: int, temperature: float) -> list[RawCompletion]:
         digest = prompt_sha256(prompt)
@@ -99,6 +90,31 @@ class ScriptedGenerator:
             )
         self._cursors[digest] = cursor + n
         return queue[cursor : cursor + n]
+
+
+def _fixture_row(raw: bytes) -> tuple[str, list[RawCompletion]] | None:
+    """One scripted fixture line as (prompt hash, completions), or None for
+    a blank line. Raises ValueError saying what is wrong with a bad one."""
+    line = raw.decode("utf-8")
+    if not line.strip():
+        return None
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError("not a JSON object")
+    digest = row.get("prompt_sha256")
+    completions = row.get("completions")
+    if not isinstance(digest, str):
+        raise ValueError("prompt_sha256 is missing or not a string")
+    if not isinstance(completions, list) or not all(isinstance(t, str) for t in completions):
+        raise ValueError("completions is missing or not a list of strings")
+    counts = row.get("token_counts")
+    if counts in (None, []):
+        counts = [0] * len(completions)
+    if not isinstance(counts, list) or not all(type(c) is int for c in counts):
+        raise ValueError("token_counts is not a list of integers")
+    if len(counts) != len(completions):
+        raise ValueError("token_counts length differs from completions")
+    return digest, [RawCompletion(text, count) for text, count in zip(completions, counts)]
 
 
 class HttpGenerator:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +336,56 @@ def test_bad_numbers_are_usage_errors(tmp_path, event_dataset, program, capsys, 
     assert captured.err.startswith("asploop: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert not out.exists()
+
+
+# the input that cannot be read, and how reading it fails
+UNREADABLE = {
+    f"{target}-{fault}": (target, fault)
+    for target in ("program", "dataset", "preamble")
+    for fault in ("not-utf8", "oserror")
+}
+
+
+@pytest.mark.parametrize("target, fault", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_inputs_are_usage_errors(tmp_path, event_dataset, program, capsys, monkeypatch,
+                                            target, fault):
+    out = tmp_path / "out"
+    paths = {"program": program(GOLDEN), "dataset": event_dataset,
+             "preamble": program("preamble\n", "preamble.txt")}
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe bytes\n")
+    paths[target] = str(bad)
+    if fault == "oserror":
+        read_text = Path.read_text
+
+        def refuse(self, *args, **kwargs):
+            if self == bad:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+    if target == "program":
+        argv = ["solve", paths["program"]]
+    else:
+        argv = ["search", "--dataset", paths["dataset"], "--out", str(out),
+                "--preamble", paths["preamble"],
+                "--generator-fixture", str(fixtures.scripted_path("search_clean"))]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"asploop: cannot read {bad}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bad_fixture_row_writes_failed_manifest(tmp_path, event_dataset, capsys):
+    fixture = tmp_path / "fixture.jsonl"
+    fixture.write_text('{"prompt_sha256": "' + "0" * 64 + '"}\n')
+    out = tmp_path / "out"
+    argv = search_args(event_dataset, out, "search_clean")
+    argv[argv.index("--generator-fixture") + 1] = str(fixture)
+    assert run_cli(argv) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith(f"{fixture}:1: ")
+    assert "completions" in capsys.readouterr().err

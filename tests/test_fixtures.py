@@ -9,13 +9,6 @@ from asploop.gateway import SolverGateway
 from asploop.matching import normalize_surface
 
 
-def test_verify_fixtures_is_green():
-    report = fixtures.verify_fixtures()
-    assert report
-    failing = {name: ok for name, ok in report.items() if not ok}
-    assert not failing
-
-
 def test_corpus_shape(corpus):
     assert len(corpus) >= 6
     ids = {i.id for i in corpus}
@@ -24,7 +17,7 @@ def test_corpus_shape(corpus):
     sizes = {i.size for i in corpus}
     assert {"3x4", "4x4"} <= sizes
     difficulties = {i.meta.get("difficulty") for i in corpus}
-    assert len(difficulties) >= 2
+    assert len(difficulties - {None}) >= 2
 
 
 def test_every_instance_has_reference_blocks(corpus):

@@ -10,6 +10,7 @@ from asploop.generators import (
     GeneratorError,
     GeneratorTransportError,
     HttpGenerator,
+    RawCompletion,
     RecordingGenerator,
     ScriptedGenerator,
     merge_recordings,
@@ -81,6 +82,48 @@ def test_scripted_prompts_are_independent(fixture_path):
 def test_scripted_missing_file(tmp_path):
     with pytest.raises(OSError):
         ScriptedGenerator(tmp_path / "absent.jsonl")
+
+
+GOOD_ROW = json.dumps({"prompt_sha256": prompt_sha256("alpha"), "completions": ["a."]}).encode()
+DIGEST = prompt_sha256("alpha")
+# a fixture's second line, and what the error names
+BAD_ROWS = {
+    "not-an-object": (b"[1, 2]", "not a JSON object"),
+    "no-hash": (json.dumps({"completions": ["a."]}).encode(), "prompt_sha256"),
+    "no-completions": (json.dumps({"prompt_sha256": DIGEST}).encode(), "completions"),
+    "completions-a-string": (
+        json.dumps({"prompt_sha256": DIGEST, "completions": "abc"}).encode(), "completions"),
+    "completions-not-strings": (
+        json.dumps({"prompt_sha256": DIGEST, "completions": ["a.", 2]}).encode(), "completions"),
+    "float-token-count": (
+        json.dumps({"prompt_sha256": DIGEST, "completions": ["a."], "token_counts": [1.5]}).encode(),
+        "token_counts"),
+    "string-token-count": (
+        json.dumps({"prompt_sha256": DIGEST, "completions": ["a."], "token_counts": ["1"]}).encode(),
+        "token_counts"),
+    "token-counts-not-a-list": (
+        json.dumps({"prompt_sha256": DIGEST, "completions": ["a."], "token_counts": 5}).encode(),
+        "token_counts"),
+    "not-utf8": (b'{"prompt_sha256": "\xff"}', "utf-8"),
+}
+
+
+@pytest.mark.parametrize("line, names", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_scripted_bad_rows_name_their_line(tmp_path, line, names):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(GOOD_ROW + b"\n" + line + b"\n")
+    with pytest.raises(GeneratorError) as info:
+        ScriptedGenerator(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+    assert names in str(info.value)
+
+
+def test_scripted_blank_lines_and_missing_counts_are_allowed(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    empty_counts = json.dumps({"prompt_sha256": DIGEST, "completions": ["b."], "token_counts": []})
+    path.write_bytes(b"\n" + GOOD_ROW + b"\n  \n" + empty_counts.encode() + b"\n")
+    generator = ScriptedGenerator(path)
+    assert generator.complete("alpha", 2, 0.0) == [RawCompletion("a.", 0), RawCompletion("b.", 0)]
 
 
 def test_recording_generator_replays_and_records():
