@@ -1,9 +1,17 @@
 """Grounding: from parsed statements to a variable-free program.
 
-Safety discipline: every variable must be bound by a positive body atom (or,
-inside a choice element, by the element's own positive conditions). The
-anonymous variable binds nothing and is only allowed in positive atom
-argument positions. Violations raise GroundingError naming the variable.
+Safety discipline: the compiler checks each variable where it reads it
+(`_Plan`). A positive body atom binds its variables outside arithmetic, and
+inside a choice element so do the element's own positive conditions. The
+positive atoms join in the first order in which each one's arithmetic reads
+only variables already bound, by earlier atoms or earlier arguments of its
+own. Heads, negated atoms, comparisons and cardinality elements read only
+variables the join binds; facts read none. The anonymous variable binds
+nothing, so it stands only as a positive atom's argument, outside
+arithmetic. A violation raises GroundingError naming the variable, or
+saying that the positive literals cannot be ordered when each variable is
+bound somewhere. Fact, Rule and Choice statements are all checked before
+any is grounded, and a constraint statement before it is grounded.
 
 The grounder classifies predicates into "independent" (defined by facts and
 rules that never touch a choice head) and "choice-dependent" (everything
@@ -173,153 +181,14 @@ class GroundProgram:
 
 
 # --------------------------------------------------------------------------
-# Variable collection for safety analysis
-
-def _vars_binding(term: Term) -> set[str]:
-    """Variables a positive-atom argument position can bind."""
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Tup):
-        out: set[str] = set()
-        for t in term.items:
-            out |= _vars_binding(t)
-        return out
-    return set()
-
-
-def _vars_all(term: Term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, (Tup,)):
-        out: set[str] = set()
-        for t in term.items:
-            out |= _vars_all(t)
-        return out
-    if isinstance(term, Arith):
-        return _vars_all(term.lhs) | _vars_all(term.rhs)
-    return set()
-
-
-def _contains_anon(term: Term) -> bool:
-    if isinstance(term, Anon):
-        return True
-    if isinstance(term, Tup):
-        return any(_contains_anon(t) for t in term.items)
-    if isinstance(term, Arith):
-        return _contains_anon(term.lhs) or _contains_anon(term.rhs)
-    return False
-
-
-def _atom_binding_vars(atom: Atom) -> set[str]:
-    out: set[str] = set()
-    for a in atom.args:
-        out |= _vars_binding(a)
-    return out
-
-
-def _atom_all_vars(atom: Atom) -> set[str]:
-    out: set[str] = set()
-    for a in atom.args:
-        out |= _vars_all(a)
-    return out
-
-
-def _atom_arith_vars(atom: Atom) -> set[str]:
-    """Variables occurring only under arithmetic inside the atom's arguments;
-    these cannot be bound by matching and must come from elsewhere."""
-    out: set[str] = set()
-    for a in atom.args:
-        out |= _vars_all(a) - _vars_binding(a)
-    return out
-
-
-def _cmp_vars(lit: CmpLit) -> set[str]:
-    return _vars_all(lit.lhs) | _vars_all(lit.rhs)
-
-
-def _split_body(body: tuple[Literal, ...]):
-    pos = [l.atom for l in body if isinstance(l, AtomLit) and not l.negated]
-    neg = [l.atom for l in body if isinstance(l, AtomLit) and l.negated]
-    cmps = [l for l in body if isinstance(l, CmpLit)]
-    return pos, neg, cmps
-
-
-def _check_unsafe(needed: set[str], bound: set[str], source: str) -> None:
-    unsafe = sorted(needed - bound)
-    if unsafe:
-        names = ", ".join(unsafe)
-        raise GroundingError(f"unsafe variable{'s' if len(unsafe) > 1 else ''} {names}", source)
-
-
-def _check_body_safety(body: tuple[Literal, ...], bound: set[str], source: str) -> None:
-    pos, neg, cmps = _split_body(body)
-    for atom in pos:
-        _check_unsafe(_atom_arith_vars(atom), bound, source)
-        for a in atom.args:
-            if isinstance(a, Arith) and _contains_anon(a):
-                raise GroundingError("unsafe variable _", source)
-    for atom in neg:
-        if any(_contains_anon(a) for a in atom.args):
-            raise GroundingError("unsafe variable _", source)
-        _check_unsafe(_atom_all_vars(atom), bound, source)
-    for cmp in cmps:
-        if _contains_anon(cmp.lhs) or _contains_anon(cmp.rhs):
-            raise GroundingError("unsafe variable _", source)
-        _check_unsafe(_cmp_vars(cmp), bound, source)
-
-
-def check_safety(stmt: Statement) -> None:
-    source = stmt.source_text or ""
-    if isinstance(stmt, Fact):
-        if any(_contains_anon(a) for a in stmt.atom.args):
-            raise GroundingError("unsafe variable _", source)
-        _check_unsafe(_atom_all_vars(stmt.atom), set(), source)
-        return
-    if isinstance(stmt, Rule):
-        pos, _, _ = _split_body(stmt.body)
-        bound = set().union(*[_atom_binding_vars(a) for a in pos]) if pos else set()
-        if any(_contains_anon(a) for a in stmt.head.args):
-            raise GroundingError("unsafe variable _", source)
-        _check_unsafe(_atom_all_vars(stmt.head), bound, source)
-        _check_body_safety(stmt.body, bound, source)
-        return
-    if isinstance(stmt, Constraint):
-        pos, _, _ = _split_body(stmt.body)
-        bound = set().union(*[_atom_binding_vars(a) for a in pos]) if pos else set()
-        _check_body_safety(stmt.body, bound, source)
-        return
-    if isinstance(stmt, Choice):
-        pos, _, _ = _split_body(stmt.body)
-        bound = set().union(*[_atom_binding_vars(a) for a in pos]) if pos else set()
-        _check_body_safety(stmt.body, bound, source)
-        for el in stmt.elements:
-            cond_pos, _, _ = _split_body(el.conditions)
-            local = bound | (set().union(*[_atom_binding_vars(a) for a in cond_pos]) if cond_pos else set())
-            if any(_contains_anon(a) for a in el.atom.args):
-                raise GroundingError("unsafe variable _", source)
-            _check_unsafe(_atom_all_vars(el.atom), local, source)
-            _check_body_safety(el.conditions, local, source)
-        return
-    if isinstance(stmt, CardinalityRule):
-        pos, _, _ = _split_body(stmt.body)
-        bound = set().union(*[_atom_binding_vars(a) for a in pos]) if pos else set()
-        _check_body_safety(stmt.body, bound, source)
-        for el in stmt.elements:
-            if _contains_anon(el.lhs) or _contains_anon(el.rhs):
-                raise GroundingError("unsafe variable _", source)
-            _check_unsafe(_cmp_vars(el), bound, source)
-        return
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-# --------------------------------------------------------------------------
 # Compiling statements into joins
 #
 # Each body is compiled once, before its join runs, into closures over the
 # binding dict. Which variables the binding holds is fixed at every point of
 # the join order, so each variable occurrence is compiled as either a lookup
 # or a first binding, and a failed match needs no undo: whatever it bound is
-# overwritten before anything reads it.
+# overwritten before anything reads it. The same walk is the safety check: a
+# variable read before anything binds it raises GroundingError.
 
 class _Index:
     def __init__(self):
@@ -334,9 +203,43 @@ class _Index:
         return True
 
 
+def _split_body(body: tuple[Literal, ...]):
+    pos = [l.atom for l in body if isinstance(l, AtomLit) and not l.negated]
+    neg = [l.atom for l in body if isinstance(l, AtomLit) and l.negated]
+    cmps = [l for l in body if isinstance(l, CmpLit)]
+    return pos, neg, cmps
+
+
+def _term_vars(terms) -> set[str]:
+    """The variables that evaluating `terms` reads; the anonymous variable,
+    which nothing binds, as `_`."""
+    out: set[str] = set()
+    for term in terms:
+        if isinstance(term, Var):
+            out.add(term.name)
+        elif isinstance(term, Anon):
+            out.add("_")
+        elif isinstance(term, Tup):
+            out |= _term_vars(term.items)
+        elif isinstance(term, Arith):
+            out |= _term_vars((term.lhs, term.rhs))
+    return out
+
+
+def _require_bound(terms, bound, source: str) -> None:
+    """Raise GroundingError unless evaluating `terms` reads only variables
+    in `bound`."""
+    unsafe = _term_vars(terms) - bound
+    if "_" in unsafe:
+        raise GroundingError("unsafe variable _", source)
+    if unsafe:
+        names = ", ".join(sorted(unsafe))
+        raise GroundingError(f"unsafe variable{'s' if len(unsafe) > 1 else ''} {names}", source)
+
+
 def _term_fn(term: Term, source: str):
-    """Compile a term into a function of the binding. Safety checking has
-    made sure the binding holds every variable whenever the function runs."""
+    """Compile a term into a function of the binding. The caller has checked
+    that the binding holds every variable whenever the function runs."""
     if isinstance(term, (Num, Sym)):
         value = term.value if isinstance(term, Num) else term.name
         return lambda binding: value
@@ -363,8 +266,10 @@ def _term_fn(term: Term, source: str):
     raise TypeError(f"not a term: {term!r}")
 
 
-def _atom_fn(atom: Atom, source: str):
-    """Compile an atom into a function from the binding to its ground atom."""
+def _atom_fn(atom: Atom, bound, source: str):
+    """Compile an atom whose variables must all be in `bound` into a
+    function from the binding to its ground atom."""
+    _require_bound(atom.args, bound, source)
     pred = atom.pred
     args = _term_fn(Tup(atom.args), source)
     return lambda binding: GroundAtom(pred, args(binding))
@@ -389,17 +294,20 @@ def _test_fn(op: str, negated: bool):
     return test
 
 
-def _cmp_fn(lit: CmpLit, source: str):
+def _cmp_fn(lit: CmpLit, bound, source: str):
+    _require_bound((lit.lhs, lit.rhs), bound, source)
     lhs = _term_fn(lit.lhs, source)
     rhs = _term_fn(lit.rhs, source)
     test = _test_fn(lit.op, lit.negated)
     return lambda binding: test(lhs(binding), rhs(binding))
 
 
-def _step_fn(pattern: Term, bound: set[str]):
+def _step_fn(pattern: Term, bound: set[str], unready: list, source: str):
     """Compile one argument pattern of a positive atom into step(value,
     binding) -> bool, or None when it accepts anything. A variable's first
-    occurrence binds it and is added to `bound`; later ones compare."""
+    occurrence binds it and is added to `bound`; later ones compare. An
+    arithmetic pattern reading a variable not bound before it is appended
+    to `unready`, which makes the whole matcher unusable."""
     if isinstance(pattern, Var):
         name = pattern.name
         if name in bound:
@@ -419,7 +327,7 @@ def _step_fn(pattern: Term, bound: set[str]):
         return lambda value, binding: value == constant
     if isinstance(pattern, Tup):
         size = len(pattern.items)
-        steps = _steps(pattern.items, bound)
+        steps = _steps(pattern.items, bound, unready, source)
 
         def tup(value, binding):
             if not isinstance(value, tuple) or len(value) != size:
@@ -430,25 +338,29 @@ def _step_fn(pattern: Term, bound: set[str]):
             return True
         return tup
     if isinstance(pattern, Arith):
-        # arith args cannot bind; their variables must already be bound
-        evaluate = _term_fn(pattern, "")
+        # arithmetic binds nothing: it reads variables bound before it
+        if not _term_vars((pattern,)) <= bound:
+            unready.append(pattern)
+            return None
+        evaluate = _term_fn(pattern, source)
         return lambda value, binding: evaluate(binding) == value
     raise TypeError(f"not a term: {pattern!r}")
 
 
-def _steps(patterns: tuple[Term, ...], bound: set[str]) -> list:
+def _steps(patterns: tuple[Term, ...], bound: set[str], unready: list, source: str) -> list:
     steps = []
     for i, pattern in enumerate(patterns):
-        step = _step_fn(pattern, bound)
+        step = _step_fn(pattern, bound, unready, source)
         if step is not None:
             steps.append((i, step))
     return steps
 
 
-def _match_fn(atom: Atom, bound: set[str]):
+def _match_fn(atom: Atom, bound: set[str], unready: list, source: str):
     """Compile a positive atom into match(args, binding) -> bool, which
     checks a ground atom's arguments and binds first occurrences. Adds the
-    variables it binds to `bound`."""
+    variables it binds to `bound`, and its arithmetic that reads a variable
+    not yet bound to `unready`."""
     names = [a.name for a in atom.args if isinstance(a, Var)]
     if len(names) == len(atom.args) and len(set(names)) == len(names) and not bound.intersection(names):
         bound.update(names)
@@ -457,7 +369,7 @@ def _match_fn(atom: Atom, bound: set[str]):
             binding.update(zip(names, values))
             return True
         return bind_all
-    steps = _steps(atom.args, bound)
+    steps = _steps(atom.args, bound, unready, source)
 
     def match(values, binding):
         for i, step in steps:
@@ -467,31 +379,17 @@ def _match_fn(atom: Atom, bound: set[str]):
     return match
 
 
-def _order_for_matching(atoms: list[Atom], initially_bound: set[str], source: str) -> list[Atom]:
-    """Order positive atoms so arithmetic arguments only use bound variables."""
-    remaining = list(atoms)
-    ordered: list[Atom] = []
-    bound = set(initially_bound)
-    while remaining:
-        for i, atom in enumerate(remaining):
-            if _atom_arith_vars(atom) <= bound:
-                ordered.append(atom)
-                bound |= _atom_binding_vars(atom)
-                del remaining[i]
-                break
-        else:
-            raise GroundingError("cannot order positive literals for grounding", source)
-    return ordered
-
-
 class _Plan:
     """A body compiled for its join, plus the atom it instantiates.
 
     levels holds one (predicate key, matcher, choice-dependent) triple per
-    positive atom, in `_order_for_matching`'s order; negs one
+    positive atom, in join order: each pass takes the first remaining atom
+    whose arithmetic reads only variables bound before it. negs holds one
     (choice-dependent, instantiator) pair per negated atom and cmps one test
     per comparison, both in body order; bound is the set of variables a full
-    match binds."""
+    match binds, starting from `bound`. A variable that the head, a negated
+    atom or a comparison reads must be in it, and the join must be orderable;
+    otherwise GroundingError."""
 
     __slots__ = ("levels", "negs", "cmps", "head", "bound")
 
@@ -499,12 +397,27 @@ class _Plan:
         pos, neg, cmps = _split_body(body)
         bound = set(bound)
         self.levels = []
-        for atom in _order_for_matching(pos, bound, source):
+        while pos:
+            stuck = []
+            for i, atom in enumerate(pos):
+                binds, unready = set(bound), []
+                match = _match_fn(atom, binds, unready, source)
+                if not unready:
+                    break
+                stuck.append((binds, unready))
+            else:
+                # name a variable that no remaining atom binds, if one is read
+                binders = bound.union(*[binds for binds, _ in stuck])
+                for _, unready in stuck:
+                    _require_bound(unready, binders, source)
+                raise GroundingError("cannot order positive literals for grounding", source)
+            del pos[i]
+            bound = binds
             key = (atom.pred, atom.arity)
-            self.levels.append((key, _match_fn(atom, bound), key in dependent))
-        self.negs = [((a.pred, a.arity) in dependent, _atom_fn(a, source)) for a in neg]
-        self.cmps = [_cmp_fn(c, source) for c in cmps]
-        self.head = None if head is None else _atom_fn(head, source)
+            self.levels.append((key, match, key in dependent))
+        self.head = None if head is None else _atom_fn(head, bound, source)
+        self.negs = [((a.pred, a.arity) in dependent, _atom_fn(a, bound, source)) for a in neg]
+        self.cmps = [_cmp_fn(c, bound, source) for c in cmps]
         self.bound = bound
 
     def matches(self, index: _Index, binding: dict):
@@ -568,14 +481,13 @@ def _dependent_preds(statements: list[Statement]) -> set[tuple[str, int]]:
 # The grounder proper
 
 def ground_program(statements: list[Statement]) -> GroundProgram:
-    for stmt in statements:
-        check_safety(stmt)
     skeleton = _ground_skeleton(tuple(
         (stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Fact, Rule, Choice))
     ))
-    constraints: list[GroundConstraint] = []
+    # each dedup key's first constraint, across statements; copying the
+    # first statement's dict keeps its keys' stored hashes
+    merged: dict[tuple, GroundConstraint] = {}
     routes: list[Route] = []
-    seen: set[tuple] = set()  # dedup keys, across statements
     for stmt in statements:
         if isinstance(stmt, (Constraint, CardinalityRule)):
             key = (stmt, stmt.source_text)
@@ -584,11 +496,14 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
                 # errors are not stored; threads racing here store equal entries
                 compiled = skeleton.constraints[key] = _compile_statement(stmt, skeleton)
             keyed, route = compiled
-            constraints += [cons for dedup_key, cons in keyed.items() if dedup_key not in seen]
-            seen.update(keyed)
+            if not routes:
+                merged = dict(keyed)
+            else:
+                for dedup_key, cons in keyed.items():
+                    merged.setdefault(dedup_key, cons)
             routes.append(route)
     gp = skeleton.program
-    return GroundProgram(gp.facts, list(gp.choices), list(gp.rules), constraints, gp.possible,
+    return GroundProgram(gp.facts, list(gp.choices), list(gp.rules), list(merged.values()), gp.possible,
                          gp.symbols, tuple(routes))
 
 
@@ -614,56 +529,46 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
     statements = [stmt for stmt, _ in key]
     dependent = _dependent_preds(statements)
 
-    # facts in the order they first appear, so that everything grounded
-    # from them comes out in an order that does not depend on hashing
+    # Check and compile every statement before grounding any, in statement
+    # order, so that an unsafe variable is reported whether or not grounding
+    # reaches its statement. Facts keep the order they first appear in, so
+    # that everything grounded from them comes out in an order that does
+    # not depend on hashing.
     facts: dict[GroundAtom, None] = {}
+    rules: list[tuple[Rule, _Plan]] = []
+    choice_plans: list[tuple[Choice, _Plan, list[_Plan]]] = []
     for stmt in statements:
+        source = stmt.source_text
         if isinstance(stmt, Fact):
-            facts[_atom_fn(stmt.atom, stmt.source_text)({})] = None
+            facts[_atom_fn(stmt.atom, frozenset(), source)({})] = None
+        elif isinstance(stmt, Rule):
+            rules.append((stmt, _Plan(stmt.body, dependent, source, head=stmt.head)))
+        else:
+            body_plan = _Plan(stmt.body, dependent, source)
+            choice_plans.append((stmt, body_plan, [
+                _Plan(el.conditions, dependent, source, body_plan.bound, el.atom) for el in stmt.elements
+            ]))
 
-    # Each body is compiled on first use, so an unorderable body raises only
-    # once grounding reaches it, after any error raised before that point.
-    # The key holds every statement, so their ids stay unique while it runs.
-    plans: dict[tuple[int, int], _Plan] = {}
-
-    def plan(stmt: Statement, element: int = -1) -> _Plan:
-        key = (id(stmt), element)
-        compiled = plans.get(key)
-        if compiled is None:
-            source = stmt.source_text
-            if element < 0:
-                head = stmt.head if isinstance(stmt, Rule) else None
-                compiled = _Plan(stmt.body, dependent, source, head=head)
-            else:
-                el = stmt.elements[element]
-                compiled = _Plan(el.conditions, dependent, source, plan(stmt).bound, el.atom)
-            plans[key] = compiled
-        return compiled
-
-    rules = [s for s in statements if isinstance(s, Rule)]
-    independent_rules = [r for r in rules if (r.head.pred, r.head.arity) not in dependent]
+    independent_rules = [(r, p) for r, p in rules if (r.head.pred, r.head.arity) not in dependent]
 
     # D0: the well-founded model of the facts and independent rules
-    high = _least(facts, independent_rules, plan, frozenset())
-    base = _least(facts, independent_rules, plan, high.atoms)
-    while (upper := _least(facts, independent_rules, plan, base.atoms)).atoms != high.atoms:
-        high, base = upper, _least(facts, independent_rules, plan, upper.atoms)
+    high = _least(facts, independent_rules, frozenset())
+    base = _least(facts, independent_rules, high.atoms)
+    while (upper := _least(facts, independent_rules, base.atoms)).atoms != high.atoms:
+        high, base = upper, _least(facts, independent_rules, upper.atoms)
     if base.atoms != high.atoms:
         raise UnsupportedProgram(high.atoms - base.atoms)
 
     # Ground the choice rules; bodies and conditions must stay independent.
     choices: list[GroundChoice] = []
-    for stmt in statements:
-        if not isinstance(stmt, Choice):
-            continue
+    for stmt, body_plan, element_plans in choice_plans:
         _require_independent(stmt.body, dependent, stmt.source_text)
         for el in stmt.elements:
             _require_independent(el.conditions, dependent, stmt.source_text)
-        for body_binding in _body_instantiations(plan(stmt), base, {}, base.atoms):
+        for body_binding in _body_instantiations(body_plan, base, {}, base.atoms):
             candidates: list[GroundAtom] = []
             seen: set[GroundAtom] = set()
-            for k in range(len(stmt.elements)):
-                el_plan = plan(stmt, k)
+            for el_plan in element_plans:
                 for el_binding in _body_instantiations(el_plan, base, body_binding, base.atoms):
                     atom = el_plan.head(el_binding)
                     if atom not in seen:
@@ -674,13 +579,12 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
 
     # Possible atoms: facts, choice candidates, then every rule, optimistically.
     seeds = itertools.chain(facts, *(ch.candidates for ch in choices))
-    possible = _least(seeds, rules, plan, frozenset())
+    possible = _least(seeds, rules, frozenset())
 
     # Ground definite rules over the possible atoms.
     ground_rules: list[GroundRule] = []
     seen_rules: set[tuple] = set()
-    for stmt in rules:
-        rule_plan = plan(stmt)
+    for stmt, rule_plan in rules:
         for binding, pos_dep, neg_dep in _residual_instances(rule_plan, possible, base):
             head = rule_plan.head(binding)
             key = (head, tuple(pos_dep), tuple(neg_dep))
@@ -737,10 +641,12 @@ def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton)
     source = stmt.source_text
     stmt_plan = _Plan(stmt.body, skeleton.dependent, source)
     is_constraint = isinstance(stmt, Constraint)
-    elements = [] if is_constraint else [
-        (_term_fn(el.lhs, source), el.op, _term_fn(el.rhs, source), _test_fn(el.op, el.negated))
-        for el in stmt.elements
-    ]
+    elements = []
+    if not is_constraint:
+        for el in stmt.elements:
+            _require_bound((el.lhs, el.rhs), stmt_plan.bound, source)
+            elements.append((_term_fn(el.lhs, source), el.op, _term_fn(el.rhs, source),
+                             _test_fn(el.op, el.negated)))
     id_of = skeleton.program.symbols.id_of
     out: dict[tuple, GroundConstraint] = {}
     for binding, pos_dep, neg_dep in _residual_instances(stmt_plan, skeleton.possible, skeleton.base):
@@ -835,17 +741,16 @@ def _residual_instances(plan: _Plan, possible: _Index, base: _Index):
                     yield binding, pos_dep, neg_dep
 
 
-def _least(seeds, rules: list[Rule], plan, negative_against) -> _Index:
-    """The least model of `seeds` and the reduct of `rules` by
-    `negative_against`, forward-chained to a fixpoint."""
+def _least(seeds, rules: list[tuple[Rule, _Plan]], negative_against) -> _Index:
+    """The least model of `seeds` and the reduct of `rules`, each with its
+    plan, by `negative_against`, forward-chained to a fixpoint."""
     index = _Index()
     for atom in seeds:
         index.add(atom)
     changed = True
     while changed:
         changed = False
-        for rule in rules:
-            rule_plan = plan(rule)
+        for rule, rule_plan in rules:
             for binding in _body_instantiations(rule_plan, index, {}, negative_against):
                 if index.add(rule_plan.head(binding)):
                     changed = True

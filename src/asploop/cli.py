@@ -321,6 +321,10 @@ def _run(args, command: str, make_config, write_artifacts) -> int:
         write_manifest("failed", str(exc))
         print(f"asploop {command}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except BaseException as exc:
+        # a fault in the program: record it, and keep its traceback
+        write_manifest("failed", f"{type(exc).__name__}: {exc}")
+        raise
     write_manifest("complete")
     print(summary)
     return EXIT_OK

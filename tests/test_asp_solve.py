@@ -169,24 +169,41 @@ def test_node_budget_raises(monkeypatch):
         enumerate_models(gp)
 
 
-def test_unsafe_variable_is_a_grounding_error():
-    result = parse_program(":- item(X), not X == Y.")
+# A variable read where nothing binds it, in each place that reads a term.
+UNSAFE_CASES = [
+    pytest.param(":- item(X), not X == Y.", "unsafe variable Y in statement: :- item ( X ) , not X == Y .",
+                 id="comparison"),
+    pytest.param("q(X, Y) :- item(X).", "unsafe variable Y in statement: q ( X , Y ) :- item ( X ) .", id="head"),
+    pytest.param("p(X).", "unsafe variable X in statement: p ( X ) .", id="fact"),
+    pytest.param("p(_).", "unsafe variable _ in statement: p ( _ ) .", id="fact-anonymous"),
+    pytest.param(":- p(X+1).", "unsafe variable X in statement: :- p ( X + 1 ) .", id="positive-arithmetic"),
+    pytest.param("{X = Y} = 1 :- p(X).", "unsafe variable Y in statement: { X = Y } = 1 :- p ( X ) .",
+                 id="cardinality-element"),
+    pytest.param("1 {a(X,Y) : b(X)} 1 :- c(Z).",
+                 "unsafe variable Y in statement: 1 { a ( X , Y ) : b ( X ) } 1 :- c ( Z ) .",
+                 id="choice-element"),
+    pytest.param("1 {a(X) : b(X)} 1 :- c(Z), not d(W).",
+                 "unsafe variable W in statement: 1 { a ( X ) : b ( X ) } 1 :- c ( Z ) , not d ( W ) .",
+                 id="choice-body-negation"),
+]
+
+
+@pytest.mark.parametrize("text, message", UNSAFE_CASES)
+def test_unsafe_variable_is_a_grounding_error(text, message):
+    result = parse_program(text)
     assert not result.diagnostics
-    with pytest.raises(GroundingError, match="unsafe variable Y"):
+    with pytest.raises(GroundingError) as excinfo:
         ground_program(result.statements)
-
-
-def test_unsafe_head_variable_is_a_grounding_error():
-    result = parse_program("q(X, Y) :- item(X).")
-    with pytest.raises(GroundingError, match="unsafe variable"):
-        ground_program(result.statements)
+    assert str(excinfo.value) == message
 
 
 # Join shapes the compiled matcher handles itself: a repeated variable in one
 # atom, a tuple pattern with an anonymous part, arithmetic in a positive
-# atom, ordering across numbers and symbols, and arithmetic over a symbolic
-# constant from a rule head, a body comparison and a cardinality element.
-# Each case gives its models projected on one predicate, or the error.
+# atom (after the argument binding its variable, too, but not before it),
+# ordering across numbers and symbols, and arithmetic over a symbolic
+# constant from a rule head, a body comparison, a cardinality element and a
+# positive atom. Each case gives its models projected on one predicate, or
+# the error.
 JOIN_CASES = [
     ("e(1,1). e(1,2). e(2,2). loop(X) :- e(X, X).", "loop", {("loop(1)", "loop(2)")}),
     ("p((a,1)). p((b,2)). p(c). q(X) :- p((X, _)).", "q", {("q(a)", "q(b)")}),
@@ -197,6 +214,9 @@ JOIN_CASES = [
     # the instance for 1 already has one true element, one more than the
     # count, and its second element must still be evaluated for `a`
     ("v(1;a). {X = X; X + 1 = 5} = 0 :- v(X).", "v", "arithmetic over a symbolic constant"),
+    ("p(1,2). p(2,3). q(X) :- p(X, X+1).", "q", {("q(1)", "q(2)")}),
+    ("p((2,1)). p((3,2)). q(X) :- p((X+1, X)).", "q", "cannot order positive literals for grounding"),
+    ("n(1;a). m(2). s(X) :- n(X), m(X+1).", "s", "arithmetic over a symbolic constant in statement"),
 ]
 
 
@@ -668,3 +688,52 @@ def test_gateway_agrees_with_the_oracle_on_random_programs(text):
         assert "negation loops" in verdict.diagnostics[0]
         return
     assert verdict.models == brute_force_models(grounded(text))
+
+
+# Random programs whose terms are drawn from variables, `_`, constants,
+# arithmetic and tuples, in positive and negated atoms, comparisons, rule
+# heads and choice elements, so that many are unsafe, unorderable or add a
+# symbolic constant. Whatever the program, the gateway returns a verdict, and
+# a flagless one agrees with the oracle. No rule body reads a rule head, and
+# the one choice rule picks at most one candidate, so that grounding ends and
+# the oracle's search stays small.
+# X is drawn most often and most bodies begin by binding it, so that enough
+# programs are safe to reach the join
+LEAF = st.sampled_from(["X", "X", "X", "X", "Y", "1", "2", "a", "_"])
+ARITH = st.tuples(LEAF, st.sampled_from(["+", "-"]), LEAF).map(" ".join)
+TUPLE = st.tuples(st.one_of(LEAF, ARITH), st.one_of(LEAF, ARITH)).map(", ".join).map("({})".format)
+TERM = st.one_of(LEAF, LEAF, ARITH, TUPLE)
+POSITIVE = st.one_of(
+    TUPLE.map("p({})".format), TERM.map("p({})".format), st.tuples(TERM, TERM).map(", ".join).map("q({})".format)
+)
+COMPARISON = st.tuples(TERM, st.sampled_from(["=", "!=", "<"]), TERM).map(" ".join)
+BINDING = st.sampled_from(["p(X)", "q(X, Y)", "p((X, Y))", "p(1)"])
+
+
+def bodies(negatable):
+    negated = st.tuples(st.sampled_from(negatable), TERM).map("not {0[0]}({0[1]})".format)
+    literals = st.lists(st.one_of(POSITIVE, negated, COMPARISON), max_size=2)
+    return st.tuples(BINDING, literals).map(lambda pair: ", ".join([pair[0], *pair[1]]))
+
+
+ELEMENT_BODY, RULE_BODY, CONSTRAINT_BODY = bodies(["p", "q"]), bodies(["p", "c"]), bodies(["p", "c", "h"])
+
+
+@st.composite
+def term_programs(draw):
+    lines = ["p(1;2;3;a). p((2,1)). p((a,1)). q(1,2). q(2,a). q((1,2),1)."]
+    if draw(st.booleans()):
+        lines.append(f"0 {{c({draw(TERM)}) : {draw(ELEMENT_BODY)}}} 1.")
+    for _ in range(draw(st.integers(1, 2))):
+        lines.append(f"h({draw(TERM)}) :- {draw(RULE_BODY)}.")
+    if draw(st.booleans()):
+        lines.append(f":- {draw(CONSTRAINT_BODY)}.")
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(term_programs())
+def test_any_program_gets_a_verdict(text):
+    verdict = SolverGateway().solve(text)
+    if verdict.flagless:
+        assert verdict.models == brute_force_models(grounded(text))

@@ -212,6 +212,19 @@ def test_search_failure_writes_failed_manifest(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_unexpected_exception_writes_failed_manifest_and_propagates(tmp_path, event_dataset, monkeypatch):
+    def crash(*args, **kwargs):
+        raise KeyError("X")
+
+    monkeypatch.setattr(cli, "run_search", crash)
+    out = tmp_path / "crash"
+    with pytest.raises(KeyError):
+        run_cli(eval_args(out, extra=("--dataset", event_dataset)))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "KeyError: 'X'"
+
+
 def eval_args(out, fixture_name="search_e2e", extra=()):
     return [
         "eval",
