@@ -373,11 +373,6 @@ class _Parser:
 
     def atom_or_comparison(self) -> AtomLit | CmpLit:
         tok = self.peek()
-        self.check_unsupported(tok)
-        if tok.type == "IDENT" and self.peek(1).text != "(" and not self._cmp_ahead(1):
-            # zero-arity atom
-            self.next()
-            return AtomLit(atom=Atom(tok.text, ()))
         term, was_atom_shape = self.term_or_atom()
         if self._cmp_op_next():
             op = self.next().text

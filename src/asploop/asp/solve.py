@@ -4,31 +4,45 @@ Two engines live here, and they share nothing but the `GroundProgram` they
 read. `enumerate_models` is the production path. It works on the
 skeleton's atoms interned to ints (`gp.symbols`) and merges the routes the
 grounder compiled once per constraint statement (`gp.routes`): pruning
-during search, or a check on complete models. It backtracks over choice
-groups (at most NODE_BUDGET nodes), closes each full selection under the
-rules to the well-founded model, as the grounder does, and builds the
-models' GroundAtom sets only in `_externalize`. `brute_force_models` is the
-test oracle, written from the definition of a stable model
-(Gelfond-Lifschitz 1988): it guesses each choice's selection and the truth
-of each negated rule head, takes the least model of the reduct, and keeps
-it when that model reproduces the guess and fires no constraint. It reads
-the ground atoms, rules and constraints, never the interned tables. Both
-read the same grounder's output, so comparing them checks enumeration, not
-grounding.
+during search, or a check on complete models. The search is forward
+checking (Haralick & Elliott, AIJ 1980) over int bitsets: each choice
+group's domain is an int over its candidate positions, choosing a
+candidate clears its pair partners from every later group's domain, and a
+later group left with fewer open positions than its lower bound prunes the
+branch. Groups are taken in order, selections by size and then
+lexicographically, so models are found in the order of a plain
+backtracking walk over the groups, minus subtrees that hold no full
+selection, and a capped search keeps the same first cap+1 models. The
+search counts one node per accepted selection, plus the root, and stops
+at NODE_BUDGET. Each full selection is closed under the rules to the
+well-founded model, as the grounder does, and checked for what pruning
+cannot decide: deferred constraints, and each group's bounds when a
+candidate can be true other than through its own group's selection. A
+model stays one int bitmask of atom ids; `Models` sorts the masks and
+builds a model's GroundAtom set only when a caller reads it.
+
+`brute_force_models` is the test oracle, written from the definition of a
+stable model (Gelfond-Lifschitz 1988): it guesses each choice's selection
+and the truth of each negated rule head, takes the least model of the
+reduct, and keeps it when that model reproduces the guess and fires no
+constraint. It reads the ground atoms, rules and constraints, never the
+interned tables. Both read the same grounder's output, so comparing them
+checks enumeration, not grounding.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
-from .ground import GroundProgram, Symbols, UnsupportedProgram
+from .ground import GroundProgram, UnsupportedProgram
 from .syntax import GroundAtom, ground_atom_key
 
 
 class EnumerationBudgetError(Exception):
-    """Raised when the search walked more nodes than the caller allowed."""
+    """Raised when the search visited more nodes than the caller allowed."""
 
 
 class BruteForceRefusal(Exception):
@@ -39,156 +53,243 @@ BRUTE_FORCE_BOUND = 10_000_000
 NODE_BUDGET = 20_000_000
 
 
+def _ids(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
+_SET_FIRST = str.maketrans("01", "10")
+
+
+def _order_key(mask: int) -> str:
+    """A key that sorts masks as their lists of sorted ids sort: bit i of
+    `mask` at index i, "0" where set and "1" where clear, ending at the
+    highest set bit. At the first index two keys differ, the mask holding
+    that id sorts first, unless the other mask has no id beyond it: then
+    the other's key is a prefix of this one, and sorts first."""
+    return bin(mask)[:1:-1].translate(_SET_FIRST) if mask else ""
+
+
+class Models(Sequence):
+    """A solve's models, each kept as an int bitmask of atom ids. The masks
+    are sorted by their sorted ids on first read: ids follow
+    `ground_atom_key` order, so models come sorted by their sorted atom
+    keys. A model's GroundAtom set is built each time it is read. Equal to
+    a list or tuple of the same models in the same order."""
+
+    __slots__ = ("_atom_of", "_masks", "_sorted")
+
+    def __init__(self, atom_of: list[GroundAtom], masks: list[int]):
+        self._atom_of = atom_of
+        self._masks = masks
+        self._sorted = False
+
+    def _ordered(self) -> list[int]:
+        if not self._sorted:
+            # a new list, never sorted in place: threads share cached models
+            self._masks = sorted(self._masks, key=_order_key)
+            self._sorted = True
+        return self._masks
+
+    def _atoms(self, mask: int) -> frozenset[GroundAtom]:
+        atom_of = self._atom_of
+        return frozenset([atom_of[i] for i in _ids(mask)])
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._atoms(m) for m in self._ordered()[index]]
+        return self._atoms(self._ordered()[index])
+
+    def __iter__(self):
+        return map(self._atoms, self._ordered())
+
+    def __eq__(self, other):
+        if not isinstance(other, (Models, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Models({list(self)!r})"
+
+
 @dataclass
 class _Search:
-    """One solve's tables: the skeleton's interned atoms, facts and rules,
-    and the program's constraint routes merged."""
+    """One solve's tables over the skeleton's atom ids and each choice
+    group's candidate positions, and the forward-checking search over them."""
 
-    symbols: Symbols
-    groups: list[tuple[int, int | None, tuple[int, ...]]]  # dead candidates dropped
-    pair_partners: dict[int, set[int]]
-    deferred: list[tuple[frozenset[int], frozenset[int]]]  # checked on complete models
-    # some candidate can be true other than through its own group's selection
+    groups: list[tuple[int, int | None, int]]  # (lower, upper, candidates' atom-id mask)
+    domains: list[int]  # each group's open positions: dead candidates closed
+    bits: list[list[int]]  # [g][p]: the atom-id bit of group g's candidate p
+    within: list[list[int]]  # [g][p]: the positions of g that p leaves open
+    keep: list[list[tuple[int, ...]]]  # [g][p]: the positions p leaves open in each later group
+    later_lowers: list[list[int]]  # [g]: the lower bounds of the groups after g
+    atom_of: list[GroundAtom]
+    facts: int
+    rules: list[tuple[int, int, int]]  # (head bit, pos mask, neg mask)
+    deferred: list[tuple[int, int]]  # (pos mask, neg mask), checked on complete models
+    # some live candidate can be true other than through its own group's selection
     check_bounds: bool
+    cap: int = 0
+    budget: int = 0
+    found: set[int] = field(default_factory=set)
+
+    def run(self, cap: int) -> tuple[Models, bool]:
+        self.cap, self.budget = cap, NODE_BUDGET
+        self.node()  # the root
+        if self.groups:
+            exhausted = self.descend(0, self.domains, self.facts)
+        else:
+            exhausted = self.leaf(self.facts)
+        return Models(self.atom_of, list(self.found)), exhausted
+
+    def node(self) -> None:
+        if self.budget == 0:
+            raise EnumerationBudgetError(f"enumeration exceeded the budget of {NODE_BUDGET} search nodes")
+        self.budget -= 1
+
+    def descend(self, level: int, domains: list[int], model: int) -> bool:
+        """Try each selection of group `level` from its open positions,
+        domains[0]; domains[1:] are the later groups'. `model` holds the
+        facts and the earlier groups' selections. Returns False once cap+1
+        models are found."""
+        later, later_lowers = domains[1:], self.later_lowers[level]
+        last = not later
+        for kept, chosen in self.selections(level, _ids(domains[0])):
+            self.node()
+            if last:
+                if not self.leaf(model | chosen):
+                    return False
+                continue
+            rest = list(map(int.__and__, later, kept))
+            if any(map(int.__lt__, map(int.bit_count, rest), later_lowers)):
+                continue
+            if not self.descend(level + 1, rest, model | chosen):
+                return False
+        return True
+
+    def selections(self, level: int, positions: list[int]):
+        """Group `level`'s selections from its open `positions` with no pair
+        inside, by size and then lexicographically, each as the positions it
+        leaves open in each later group and the atom-id bits it chooses."""
+        lower, upper, _ = self.groups[level]
+        keep, bits = self.keep[level], self.bits[level]
+        if lower == upper == 1:
+            return zip(map(keep.__getitem__, positions), map(bits.__getitem__, positions))
+        return self._selections(level, lower, upper, positions)
+
+    def _selections(self, level, lower, upper, positions):
+        keep, bits, within = self.keep[level], self.bits[level], self.within[level]
+        hi = len(positions) if upper is None else min(upper, len(positions))
+        for size in range(lower, hi + 1):
+            for sel in itertools.combinations(positions, size):
+                chosen = sum(1 << p for p in sel)
+                if any(within[p] & chosen != chosen for p in sel):
+                    continue  # two partners in one selection
+                kept = (-1,) * len(self.later_lowers[level])
+                for p in sel:
+                    kept = tuple(map(int.__and__, kept, keep[p]))
+                yield kept, sum(bits[p] for p in sel)
+
+    def leaf(self, base: int) -> bool:
+        """Close facts plus a full selection under the rules, check what
+        search-time pruning could not decide, and keep the model. Returns
+        False once cap+1 models are found."""
+        model = base
+        rules = self.rules
+        if rules:
+            high = _rule_closure(base, rules, 0)
+            model = _rule_closure(base, rules, high)
+            while (upper := _rule_closure(base, rules, model)) != high:
+                high, model = upper, _rule_closure(base, rules, upper)
+            if model != high:
+                raise UnsupportedProgram(self.atom_of[i] for i in _ids(high & ~model))
+        for pos, neg in self.deferred:
+            if model & pos == pos and not model & neg:
+                return True
+        if self.check_bounds:
+            for lower, upper, cands in self.groups:
+                inside = (model & cands).bit_count()
+                if inside < lower or (upper is not None and inside > upper):
+                    return True
+        self.found.add(model)
+        return len(self.found) <= self.cap
 
 
 def _search(gp: GroundProgram) -> _Search:
     """Merge the routes of `gp`'s constraint statements over its symbols."""
     symbols = gp.symbols
     forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
-    pair_partners: dict[int, set[int]] = {}
-    for route in gp.routes:
-        for a, partners in route.partners.items():
-            pair_partners.setdefault(a, set()).update(partners)
-    groups = [(lower, upper, tuple(c for c in cands if c not in forbidden))
-              for lower, upper, cands in symbols.groups]
-    candidates = [c for _, _, cands in groups for c in cands]
-    check_bounds = (len(candidates) != len(set(candidates))
-                    or not (symbols.derivable | symbols.fact_ids).isdisjoint(candidates))
+    live = [c for _, _, cands in symbols.groups for c in cands if c not in forbidden]
+    tables = [route.partners for route in gp.routes if route.partners]
+    n = len(symbols.groups)
+    groups, domains, bits, within, keep = [], [], [], [], []
+    for g, (lower, upper, cands) in enumerate(symbols.groups):
+        groups.append((lower, upper, sum(1 << c for c in cands)))
+        domains.append(sum(1 << p for p, c in enumerate(cands) if c not in forbidden))
+        bits.append([1 << c for c in cands])
+        rows = []
+        for c in cands:
+            row = (-1,) * (n - g)
+            for table in tables:
+                if (kept := table.get(c)) is not None:
+                    row = tuple(map(int.__and__, row, kept[g:]))
+            rows.append(row)
+        within.append([row[0] for row in rows])
+        keep.append([row[1:] for row in rows])
     return _Search(
-        symbols=symbols,
         groups=groups,
-        pair_partners=pair_partners,
+        domains=domains,
+        bits=bits,
+        within=within,
+        keep=keep,
+        later_lowers=[[lower for lower, _, _ in groups[g + 1:]] for g in range(n)],
+        atom_of=symbols.atom_of,
+        facts=sum(1 << i for i in symbols.fact_ids),
+        rules=[(1 << head, sum(1 << p for p in pos), sum(1 << q for q in neg))
+               for head, pos, neg in symbols.rules],
         # statements can share a constraint: check each once
-        deferred=list(dict.fromkeys(cons for route in gp.routes for cons in route.deferred)),
-        check_bounds=check_bounds,
+        deferred=list(dict.fromkeys((sum(1 << p for p in pos), sum(1 << q for q in neg))
+                                    for route in gp.routes for pos, neg in route.deferred)),
+        check_bounds=(len(live) != len(set(live))
+                      or not (symbols.derivable | symbols.fact_ids).isdisjoint(live)),
     )
 
 
-def _selections(lower: int, upper: int | None, cands: tuple[int, ...]):
-    hi = len(cands) if upper is None else min(upper, len(cands))
-    for size in range(lower, hi + 1):
-        yield from itertools.combinations(cands, size)
-
-
-def _rule_closure(base: frozenset[int], rules, negative_against) -> frozenset[int]:
+def _rule_closure(base: int, rules: list[tuple[int, int, int]], negative_against: int) -> int:
     """The least model of `base` and the reduct of `rules` by `negative_against`."""
-    out = set(base)
+    out = base
     changed = True
     while changed:
         changed = False
         for head, pos, neg in rules:
-            if head in out:
+            if out & head or out & pos != pos or neg & negative_against:
                 continue
-            if not all(p in out for p in pos):
-                continue
-            if any(n in negative_against for n in neg):
-                continue
-            out.add(head)
+            out |= head
             changed = True
-    return frozenset(out)
+    return out
 
 
-def _complete_model(comp: _Search, base: frozenset[int]) -> frozenset[int] | None:
-    """Close facts plus a full selection under the rules and check what
-    search-time pruning could not decide. Returns the model or None."""
-    model = base
-    rules = comp.symbols.rules
-    if rules:
-        high = _rule_closure(base, rules, frozenset())
-        model = _rule_closure(base, rules, high)
-        while (upper := _rule_closure(base, rules, model)) != high:
-            high, model = upper, _rule_closure(base, rules, upper)
-        if model != high:
-            raise UnsupportedProgram(comp.symbols.atom_of[i] for i in high - model)
-    for pos, neg in comp.deferred:
-        if pos <= model and not (neg & model):
-            return None
-    if comp.check_bounds:
-        for lower, upper, cands in comp.groups:
-            inside = sum(1 for c in cands if c in model)
-            if inside < lower or (upper is not None and inside > upper):
-                return None
-    return model
-
-
-def _externalize(symbols: Symbols, models: set[frozenset[int]]) -> list[frozenset[GroundAtom]]:
-    """Sort models by their sorted atom keys: ids follow `ground_atom_key`
-    order, so a model's sorted ids sort the same way."""
-    atom_of = symbols.atom_of
-    return [frozenset([atom_of[i] for i in m]) for m in sorted(models, key=sorted)]
-
-
-def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[list[frozenset[GroundAtom]], bool]:
+def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[Models, bool]:
     """Enumerate stable models, stopping after cap+1 distinct models.
 
     Returns (models, exhausted). `exhausted` is True when the search space
-    was fully explored; in that case the model list is complete. Models are
-    returned sorted by their sorted atom vector, so the order never depends
-    on search order.
+    was fully explored; in that case the models are complete. Models read
+    sorted by their sorted atom vector, so the order never depends on
+    search order.
     """
     if any(route.always_violated for route in gp.routes):
-        return [], True
-    comp = _search(gp)
-
-    found: set[frozenset[int]] = set()
-    exhausted = True
-    budget = NODE_BUDGET
-    groups = comp.groups
-    partners = comp.pair_partners
-
-    current: set[int] = set(comp.symbols.fact_ids)
-
-    def walk(level: int) -> bool:
-        """Returns False to stop the whole search (cap or budget)."""
-        nonlocal exhausted, budget
-        if budget == 0:
-            raise EnumerationBudgetError(f"enumeration exceeded the budget of {NODE_BUDGET} search nodes")
-        budget -= 1
-        if level == len(groups):
-            model = _complete_model(comp, frozenset(current))
-            if model is not None:
-                found.add(model)
-                if len(found) >= cap + 1:
-                    exhausted = False
-                    return False
-            return True
-        lower, upper, cands = groups[level]
-        for sel in _selections(lower, upper, cands):
-            added = []
-            ok = True
-            for a in sel:
-                if a not in current:
-                    pset = partners.get(a)
-                    if pset is not None and not pset.isdisjoint(current):
-                        ok = False
-                        break
-                    current.add(a)
-                    added.append(a)
-            if ok and not walk(level + 1):
-                return False
-            for a in added:
-                current.discard(a)
-        return True
-
-    try:
-        walk(0)
-    finally:
-        # walk refers to itself; without this the search state (the compiled
-        # program, the models found) stays in a reference cycle until the
-        # next full garbage collection
-        del walk
-    return _externalize(comp.symbols, found), exhausted
+        return Models(gp.symbols.atom_of, []), True
+    return _search(gp).run(cap)
 
 
 def brute_force_models(

@@ -18,6 +18,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .asp import (
@@ -46,7 +47,8 @@ class SolverConfigError(Exception):
 
 @dataclass
 class SolverVerdict:
-    models: list[frozenset[GroundAtom]]
+    # the in-process backend's `Models` builds each model when it is read
+    models: Sequence[frozenset[GroundAtom]]
     model_count: int
     is_unsat: bool = False
     cap_exceeded: bool = False
@@ -83,7 +85,7 @@ class SolverVerdict:
 def _verdict(models, cap: int, diagnostics=(), error: bool = False,
              wall_time: float = 0.0) -> SolverVerdict:
     """The one constructor of a SolverVerdict: see the module docstring."""
-    models = [] if error else list(models)
+    models = [] if error else models
     return SolverVerdict(
         models=models,
         model_count=len(models),
@@ -100,7 +102,7 @@ def _verdict(models, cap: int, diagnostics=(), error: bool = False,
 
 @functools.lru_cache(maxsize=512)
 def _solve_in_process(text: str, cap: int):
-    """Returns (models tuple, error diagnostics tuple, unsupported):
+    """Returns (models, error diagnostics tuple, unsupported):
     unsupported is true when the parse reported only out-of-fragment
     constructs, or negation loops, and the diagnostics then say which."""
     result = parse_program(text)
@@ -115,7 +117,7 @@ def _solve_in_process(text: str, cap: int):
         return (), (str(exc),), True
     except (GroundingError, EnumerationBudgetError) as exc:
         return (), (str(exc),), False
-    return tuple(models), (), False
+    return models, (), False
 
 
 class SolverGateway:

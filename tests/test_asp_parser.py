@@ -159,6 +159,8 @@ def test_out_of_fragment_constructs_are_unsupported(text):
         ),
         ("p(-X).", [("error", "unary '-' is only supported on integers", 1, 4)], []),
         ("p(-3).", [], [Atom("p", (Num(-3),))]),
+        # a constant followed by + or - starts a term, not a 0-ary atom
+        ("q :- b - 1.", [("error", "expected an atom or a comparison", 1, 6)], []),
     ],
 )
 def test_diagnostics_name_the_construct_and_position(text, diagnostics, atoms):
