@@ -32,6 +32,14 @@ and head, a test per comparison (`_Plan`). Comparisons run after the full
 join, in body order, and every cardinality element is evaluated: deciding
 either earlier could skip an instance whose arithmetic raises.
 
+A constraint statement that swapping its variables maps onto itself, such
+as every puzzle's pairwise rule `{P1 = P2; ...} = 0 :- a(P1, ..), a(P2, ..),
+(P1, ..) != (P2, ..)`, joins only one match of each mirrored pair
+(`_mirror`): the one whose first swapped atom comes first in its bucket,
+which the full join meets first. Each unordered pair is joined, evaluated
+and keyed once, and the ground constraints, their order and any error stay
+those of the full join.
+
 Rules are evaluated one way, as the least model of the reduct (`_least`).
 The atoms true in every model are the well-founded model of the facts and
 independent rules (Van Gelder, Ross & Schlipf 1991), found by alternating
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 
@@ -391,19 +400,20 @@ class _Plan:
 
     levels holds one (predicate key, matcher, choice-dependent) triple per
     positive atom, in join order: each pass takes the first remaining atom
-    whose arithmetic reads only variables bound before it. negs holds one
-    (choice-dependent, instantiator) pair per negated atom and cmps one test
-    per comparison, both in body order; bound is the set of variables a full
-    match binds, starting from `bound`. A variable that the head, a negated
-    atom or a comparison reads must be in it, and the join must be orderable;
-    otherwise GroundingError."""
+    whose arithmetic reads only variables bound before it. atoms holds those
+    atoms in join order. negs holds one (choice-dependent, instantiator)
+    pair per negated atom and cmps one test per comparison, both in body
+    order; bound is the set of variables a full match binds, starting from
+    `bound`. A variable that the head, a negated atom or a comparison reads
+    must be in it, and the join must be orderable; otherwise GroundingError."""
 
-    __slots__ = ("levels", "negs", "cmps", "head", "bound")
+    __slots__ = ("levels", "atoms", "negs", "cmps", "head", "bound")
 
     def __init__(self, body, dependent, source, bound=frozenset(), head: Atom | None = None):
         pos, neg, cmps = _split_body(body)
         bound = set(bound)
         self.levels = []
+        self.atoms = []
         while pos:
             stuck = []
             for i, atom in enumerate(pos):
@@ -422,17 +432,21 @@ class _Plan:
             bound = binds
             key = (atom.pred, atom.arity)
             self.levels.append((key, match, key in dependent))
+            self.atoms.append(atom)
         self.head = None if head is None else _atom_fn(head, bound, source)
         self.negs = [((a.pred, a.arity) in dependent, _atom_fn(a, bound, source)) for a in neg]
         self.cmps = [_cmp_fn(c, bound, source) for c in cmps]
         self.bound = bound
 
-    def matches(self, index: _Index, binding: dict):
+    def matches(self, index: _Index, binding: dict, mirror: tuple[int, int] | None = None):
         """Yield once for every way the positive atoms match the index,
         with `binding` extended in place and the matched atoms as a list in
         level order. Both are reused: consume each result before the next.
         Buckets are iterated live: an atom appended to a bucket while a
-        level walks it is still matched."""
+        level walks it is still matched. With `mirror` = (i, j), level j
+        walks its bucket from the position of level i's match on, so only
+        the matches whose level-i atom comes no later than their level-j
+        atom are yielded (`_mirror`); the index must not grow meanwhile."""
         levels = self.levels
         if not levels:
             yield []
@@ -440,6 +454,9 @@ class _Plan:
         last = len(levels) - 1
         matched = [None] * len(levels)
         buckets = index.by_pred
+        first, second = mirror or (None, None)
+        if mirror is not None:
+            position = {ga: p for p, ga in enumerate(buckets.get(levels[first][0], ()))}
         iters = [iter(buckets.get(levels[0][0], ()))] + [None] * last
         i = 0
         while True:
@@ -457,7 +474,107 @@ class _Plan:
                 yield matched
             else:
                 i += 1
-                iters[i] = iter(buckets.get(levels[i][0], ()))
+                bucket = buckets.get(levels[i][0], ())
+                if i == second:
+                    iters[i] = itertools.islice(bucket, position[matched[first]], None)
+                else:
+                    iters[i] = iter(bucket)
+
+
+# --------------------------------------------------------------------------
+# Symmetric statements
+#
+# A constraint statement may be its own mirror image: in `:- a(X), a(Y),
+# X != Y.` swapping X and Y gives the same statement, so each pair of
+# matches gives one ground constraint twice. Such a statement joins only one
+# match of each mirrored pair.
+
+def _mirror(stmt: Constraint | CardinalityRule, plan: _Plan) -> tuple[int, int] | None:
+    """The join levels (i, j), i < j, of two positive atoms that a symmetry
+    of the statement swaps, or None.
+
+    A symmetry is an involution σ of the variables that maps the atom at
+    level i onto the atom at level j argument by argument, fixes every atom
+    joined before level i, and maps the body literals and the cardinality
+    elements, as multisets, onto themselves. σ then maps each match of the
+    join to a match, its mirror, with the same residue and the same element
+    outcomes: both give the same dedup key, both fire or neither does, and
+    both raise or neither does. The two differ first at level i, so the one
+    whose level-i atom comes first in the bucket comes first in the join.
+    Keeping the matches whose level-i atom comes no later than their
+    level-j atom thus keeps the first match of every dedup key, in order,
+    and the first that raises.
+
+    In the body, `==` is `=`, and `=` and `!=` have unordered sides. An
+    element's sides are unordered only for `=` and `==`, which are false
+    whenever swapping the sides changes them: equal instances of elements
+    count once, so swapping the sides of a true `!=` could merge two. For
+    the same reason no element may be negated, since `not X = Y` and `X =
+    Y` instantiate alike. The body may do no arithmetic: comparisons and
+    negated atoms are evaluated only up to the first that decides, so
+    arithmetic there could raise on a match and not on its mirror."""
+    elements = () if isinstance(stmt, Constraint) else stmt.elements
+    terms = [t for lit in stmt.body for t in (lit.atom.args if isinstance(lit, AtomLit) else (lit.lhs, lit.rhs))]
+    if _has_arith(terms) or any(el.negated for el in elements):
+        return None
+    body = Counter(_literal_form(lit, {}) for lit in stmt.body)
+    cards = Counter(_element_form(el, {}) for el in elements)
+    atoms = plan.atoms
+    for i, a in enumerate(atoms):
+        for j in range(i + 1, len(atoms)):
+            b = atoms[j]
+            sigma: dict[str, str] = {}
+            if (a != b and (a.pred, a.arity) == (b.pred, b.arity)
+                    and all(_swap(x, y, sigma) for x, y in zip(a.args, b.args))
+                    and all(_renamed(Tup(c.args), sigma) == Tup(c.args) for c in atoms[:i])
+                    and Counter(_literal_form(lit, sigma) for lit in stmt.body) == body
+                    and Counter(_element_form(el, sigma) for el in elements) == cards):
+                return i, j
+    return None
+
+
+def _has_arith(terms) -> bool:
+    return any(isinstance(t, Arith) or isinstance(t, Tup) and _has_arith(t.items) for t in terms)
+
+
+def _swap(a: Term, b: Term, sigma: dict[str, str]) -> bool:
+    """Extend the involution `sigma` so that it maps term a onto term b;
+    False when no involution can."""
+    if isinstance(a, Var) and isinstance(b, Var):
+        return sigma.setdefault(a.name, b.name) == b.name and sigma.setdefault(b.name, a.name) == a.name
+    if isinstance(a, Tup) and isinstance(b, Tup):
+        return len(a.items) == len(b.items) and all(_swap(x, y, sigma) for x, y in zip(a.items, b.items))
+    return a == b
+
+
+def _renamed(term: Term, sigma: dict[str, str]) -> Term:
+    if isinstance(term, Var):
+        return Var(sigma.get(term.name, term.name))
+    if isinstance(term, Tup):
+        return Tup(tuple(_renamed(t, sigma) for t in term.items))
+    if isinstance(term, Arith):
+        return Arith(term.op, _renamed(term.lhs, sigma), _renamed(term.rhs, sigma))
+    return term
+
+
+def _literal_form(lit: Literal, sigma: dict[str, str]) -> tuple:
+    """A body literal renamed by `sigma`, in a form equal for literals
+    that hold on the same bindings."""
+    if isinstance(lit, AtomLit):
+        return lit.negated, lit.atom.pred, _renamed(Tup(lit.atom.args), sigma)
+    op = "=" if lit.op == "==" else lit.op
+    return lit.negated, op, _sides(lit, sigma, op in ("=", "!="))
+
+
+def _element_form(el: CmpLit, sigma: dict[str, str]) -> tuple:
+    """A cardinality element renamed by `sigma`, in a form equal for
+    elements whose true instances are the same."""
+    return el.op, _sides(el, sigma, el.op in ("=", "=="))
+
+
+def _sides(lit: CmpLit, sigma: dict[str, str], unordered: bool):
+    lhs, rhs = _renamed(lit.lhs, sigma), _renamed(lit.rhs, sigma)
+    return frozenset((lhs, rhs)) if unordered else (lhs, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -608,11 +725,14 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
 def _compile_statement(stmt: Constraint | CardinalityRule, skeleton: _Skeleton):
     """A constraint statement's ground constraints by dedup key, and their route."""
     keyed = _ground_constraints(stmt, skeleton)
-    return keyed, _route(keyed.values(), skeleton.program.symbols)
+    return keyed, _route(keyed, skeleton.program.symbols)
 
 
-def _route(constraints, symbols: Symbols) -> Route:
-    """Route ground constraints as `Route` says. Reads `symbols` only."""
+def _route(keyed: dict[tuple, GroundConstraint], symbols: Symbols) -> Route:
+    """Route ground constraints, given by their dedup keys, as `Route`
+    says. An id key lists the constraint's atom ids; only one keyed by its
+    sets, which holds an atom the skeleton did not intern, is read atom by
+    atom. Reads `symbols` only."""
     id_of = symbols.id_of
     fact_ids = symbols.fact_ids
     derivable = symbols.derivable
@@ -620,13 +740,22 @@ def _route(constraints, symbols: Symbols) -> Route:
     forbidden: set[int] = set()
     partners: dict[int, set[int]] = {}
     deferred: list[tuple[frozenset[int], frozenset[int]]] = []
-    for cons in constraints:
-        if not all(a in id_of for a in cons.pos):
-            continue
-        neg = [id_of[a] for a in cons.neg if a in id_of]
-        if any(n in fact_ids for n in neg):
-            continue
-        pos = [p for p in map(id_of.__getitem__, cons.pos) if p not in fact_ids]
+    for key, cons in keyed.items():
+        if key and isinstance(key[0], frozenset):
+            if not all(a in id_of for a in cons.pos):
+                continue
+            key = sorted([id_of[a] for a in cons.pos] + [~id_of[a] for a in cons.neg if a in id_of])
+        neg = ()
+        if key and key[0] < 0:
+            # sorted: the negated atoms, as ~id, come first
+            neg = [~k for k in key if k < 0]
+            if not fact_ids.isdisjoint(neg):
+                continue
+            pos = [k for k in key if k >= 0 and k not in fact_ids]
+        elif fact_ids.isdisjoint(key):
+            pos = key
+        else:
+            pos = [k for k in key if k not in fact_ids]
         if not pos and not neg:
             always_violated = True
         elif neg or len(pos) > 2 or not derivable.isdisjoint(pos):
@@ -657,27 +786,33 @@ def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton)
     is_constraint = isinstance(stmt, Constraint)
     elements = []
     if not is_constraint:
-        for el in stmt.elements:
+        for e, el in enumerate(stmt.elements):
             _require_bound((el.lhs, el.rhs), stmt_plan.bound, source)
+            # a false element can hide a later true one only if that one
+            # instantiates alike, so has the same op, and is negated otherwise
+            hides = any(later.op == el.op and later.negated != el.negated for later in stmt.elements[e + 1:])
             elements.append((_term_fn(el.lhs, source), el.op, _term_fn(el.rhs, source),
-                             _test_fn(el.op, el.negated)))
+                             _test_fn(el.op, el.negated), hides))
     id_of = skeleton.program.symbols.id_of
     out: dict[tuple, GroundConstraint] = {}
-    for binding, pos_dep, neg_dep in _residual_instances(stmt_plan, skeleton.possible, skeleton.base):
+    mirror = _mirror(stmt, stmt_plan)
+    for binding, pos_dep, neg_dep in _residual_instances(stmt_plan, skeleton.possible, skeleton.base, mirror):
         if not is_constraint:
             # ground elements form a set: two element comparisons that
-            # instantiate identically collapse to one, as in clingo
+            # instantiate identically collapse to one, as in clingo, and the
+            # first decides; only true ones and those that can hide a later
+            # one need remembering
             seen_elements: set[tuple] = set()
             true_count = 0
-            for lhs_fn, op, rhs_fn, test in elements:
+            for lhs_fn, op, rhs_fn, test, hides in elements:
                 lhs = lhs_fn(binding)
                 rhs = rhs_fn(binding)
-                key = (lhs, op, rhs)
-                if key in seen_elements:
-                    continue
-                seen_elements.add(key)
-                if test(lhs, rhs):
-                    true_count += 1
+                holds = test(lhs, rhs)
+                if holds or hides:
+                    key = (lhs, op, rhs)
+                    if key not in seen_elements:
+                        seen_elements.add(key)
+                        true_count += holds
             if true_count == stmt.count:
                 continue
         key = _dedup_key(pos_dep, neg_dep, id_of)
@@ -694,9 +829,13 @@ def _dedup_key(pos, neg, id_of: dict[GroundAtom, int]) -> tuple:
     a key no id tuple equals. Every key as a pair of frozensets would cost
     about 13 MB more peak memory on a 4x4 search (BENCH_10.json)."""
     try:
-        return tuple(sorted([id_of[a] for a in pos] + [~id_of[a] for a in neg]))
+        ids = [id_of[a] for a in pos]
+        if neg:
+            ids += [~id_of[a] for a in neg]
     except KeyError:
         return frozenset(pos), frozenset(neg)
+    ids.sort()
+    return tuple(ids)
 
 
 def _require_independent(body: tuple[Literal, ...], dependent: set[tuple[str, int]], source: str) -> None:
@@ -720,17 +859,18 @@ def _body_instantiations(plan: _Plan, index: _Index, initial: dict, negative_aga
         yield dict(binding)
 
 
-def _residual_instances(plan: _Plan, possible: _Index, base: _Index):
+def _residual_instances(plan: _Plan, possible: _Index, base: _Index, mirror: tuple[int, int] | None = None):
     """Instantiate a body over the possible atoms, resolving independent
     literals against the deterministic base. Yields (binding, pos_residue,
     neg_residue) for instances that can still fire in some model; the
-    binding is reused, so consume it before the next instance."""
+    binding is reused, so consume it before the next instance. `mirror`
+    restricts the join as `_Plan.matches` says."""
     levels = plan.levels
     cmps = plan.cmps
     negs = plan.negs
     base_atoms = base.atoms
     binding: dict[str, GroundValue] = {}
-    for matched in plan.matches(possible, binding):
+    for matched in plan.matches(possible, binding, mirror):
         for cmp in cmps:
             if not cmp(binding):
                 break

@@ -436,6 +436,48 @@ def test_a_warm_solve_compiles_only_its_new_statement(monkeypatch):
     assert len(compiled) == 1
 
 
+def pinned_programs():
+    """Every reference prefix and cross-check program, by name."""
+    programs = {}
+    for instance in fixtures.puzzles():
+        blocks = fixtures.reference_blocks(instance.id)
+        for k in range(len(blocks.hints) + 1):
+            programs[f"{instance.id}+{k}"] = "\n\n".join((blocks.base, *blocks.hints[:k]))
+    programs.update(fixtures.crosscheck_programs())
+    return programs
+
+
+def digest(outcome) -> str:
+    return hashlib.sha256(json.dumps(outcome).encode("utf-8")).hexdigest()
+
+
+# The ground constraints in order, or the error, of every reference prefix
+# and cross-check program, as one sha256 each of
+# json.dumps([[[rendered pos atom, ...], [rendered neg atom, ...], source], ...])
+# or of json.dumps("GroundingError: message"). Recorded with the grounder
+# that joined every statement in full, both orders of each mirrored pair;
+# re-record on purpose only.
+GROUND_ORDER = Path(__file__).with_name("ground_order.json")
+
+
+def ground_order_digests():
+    digests = {}
+    for name, text in pinned_programs().items():
+        try:
+            outcome = [[[render_ground_atom(a) for a in c.pos], [render_ground_atom(a) for a in c.neg], c.source]
+                       for c in grounded(text).constraints]
+        except GroundingError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digests[name] = digest(outcome)
+    return digests
+
+
+def test_ground_order_is_pinned():
+    pinned = json.loads(GROUND_ORDER.read_text(encoding="utf-8"))
+    assert len(pinned) == 41 + 27
+    assert ground_order_digests() == pinned
+
+
 # The ordered models, or the error, of every reference prefix and
 # cross-check program, as one sha256 each of
 # json.dumps([exhausted, [[rendered atom, ...] sorted by ground_atom_key, ...]])
@@ -445,21 +487,15 @@ MODEL_ORDER = Path(__file__).with_name("model_order.json")
 
 
 def model_order_digests(**kwargs):
-    programs = {}
-    for instance in fixtures.puzzles():
-        blocks = fixtures.reference_blocks(instance.id)
-        for k in range(len(blocks.hints) + 1):
-            programs[f"{instance.id}+{k}"] = "\n\n".join((blocks.base, *blocks.hints[:k]))
-    programs.update(fixtures.crosscheck_programs())
     digests = {}
-    for name, text in programs.items():
+    for name, text in pinned_programs().items():
         try:
             models, exhausted = enumerate_models(grounded(text), **kwargs)
             outcome = [exhausted, [[render_ground_atom(a) for a in sorted(m, key=ground_atom_key)]
                                    for m in models]]
         except (GroundingError, EnumerationBudgetError) as exc:
             outcome = f"{type(exc).__name__}: {exc}"
-        digests[name] = hashlib.sha256(json.dumps(outcome).encode("utf-8")).hexdigest()
+        digests[name] = digest(outcome)
     return digests
 
 
