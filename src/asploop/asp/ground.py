@@ -878,7 +878,12 @@ def _residual_instances(plan: _Plan, possible: _Index, base: _Index, mirror: tup
             pos_dep: list[GroundAtom] = []
             for (_, _, dep), ga in zip(levels, matched):
                 if dep:
-                    if ga not in pos_dep:
+                    # atoms matched from one index are equal only when
+                    # they are the same object
+                    for seen in pos_dep:
+                        if seen is ga:
+                            break
+                    else:
                         pos_dep.append(ga)
                 elif ga not in base_atoms:
                     break  # independent atom that can never be true

@@ -4,11 +4,17 @@ Parsing never raises on bad input: malformed or out-of-fragment statements
 become diagnostics (severity "error" or "unsupported") and the parser
 resynchronizes at the next ".". Generated encodings are routinely messy, so
 the caller decides what a diagnostic means.
+
+A solved program is a trajectory's selected blocks plus one candidate,
+joined by blank lines, so the same blocks recur from solve to solve:
+`parse_program` parses each blank-line-separated block once and joins the
+results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 from .syntax import (
     Anon,
@@ -182,6 +188,10 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        # token index just past the last statement parsed, or past the '.'
+        # the last resync stopped on: parsing the tokens from here on does
+        # not depend on anything before it
+        self.boundary = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -229,6 +239,7 @@ class _Parser:
                 source = self.source_span(start, end)
                 for s in stmts:
                     result.statements.append(self.attach(s, source, start_tok.line))
+                self.boundary = end
             except _StatementError as exc:
                 result.diagnostics.append(exc.diag)
                 self.resync(start)
@@ -252,6 +263,7 @@ class _Parser:
                 return
             self.pos += 1
             if tok.type == "OP" and tok.text == ".":
+                self.boundary = self.pos
                 return
 
     # -- statements ---------------------------------------------------------
@@ -496,7 +508,47 @@ class _FuncShape:
 
 def parse_program(text: str) -> ParseResult:
     """Parse a full program. Never raises on malformed statements; returns
-    them as diagnostics instead so callers can decide severity."""
+    them as diagnostics instead so callers can decide severity.
+
+    Each block between blank lines comes from `_parse_block`'s cache. The
+    whole text is parsed at once only where joining the block parses could
+    differ from it: a block before the last ends inside a statement (`p(1)`
+    then `:- q.` is the rule `p(1) :- q.`, and a resync runs on into the
+    next block), or a block does not tokenize."""
+    blocks = text.split("\n\n")
+    last = len(blocks) - 1
+    result = ParseResult()
+    offset = 0
+    for index, block in enumerate(blocks):
+        parsed = _parse_block(block)
+        if parsed is None or not (parsed[2] or index == last):
+            return _parse_whole(text)
+        statements, diagnostics, _ = parsed
+        if offset:
+            result.statements.extend(replace(s, line=s.line + offset) for s in statements)
+            result.diagnostics.extend(replace(d, line=d.line + offset) for d in diagnostics)
+        else:
+            result.statements.extend(statements)
+            result.diagnostics.extend(diagnostics)
+        offset += block.count("\n") + 2
+    return result
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_block(block: str) -> tuple[tuple[Statement, ...], tuple[Diagnostic, ...], bool] | None:
+    """One block's statements and diagnostics, lines counted from the block's
+    first line, and whether the block ends between statements; None when it
+    does not tokenize. A block's tokens are those of the same span of the
+    whole text: no token or comment spans a blank line."""
+    try:
+        parser = _Parser(block)
+    except LexError:
+        return None
+    result = parser.parse()
+    return tuple(result.statements), tuple(result.diagnostics), parser.boundary == len(parser.tokens) - 1
+
+
+def _parse_whole(text: str) -> ParseResult:
     try:
         return _Parser(text).parse()
     except LexError as exc:
@@ -509,9 +561,10 @@ def parse_ground_atom(text: str) -> GroundAtom:
     """Parse a single ground atom like `assignment(anniversary,susan,75)`.
 
     Used to normalize atoms printed by an external solver. Raises ValueError
-    on anything that is not a ground atom.
+    on anything that is not a ground atom. Parsed whole, outside the block
+    cache: a solver prints many atoms, each seen once.
     """
-    result = parse_program(text.strip() + ".")
+    result = _parse_whole(text.strip() + ".")
     if result.diagnostics or len(result.statements) != 1 or not isinstance(result.statements[0], Fact):
         raise ValueError(f"not a ground atom: {text!r}")
     atom = result.statements[0].atom

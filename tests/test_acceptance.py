@@ -21,6 +21,7 @@ from asploop.asp import (
     render_ground_atom,
 )
 from asploop.asp.ground import _ground_skeleton
+from asploop.asp.parser import _parse_block
 from asploop.datagen import DfsConfig, run_dfs
 from asploop.gateway import SolverGateway, SolverVerdict
 from asploop.generators import ScriptedGenerator
@@ -41,6 +42,7 @@ EVENT_ATOMS = {
 def fresh_caches():
     gateway_mod._solve_in_process.cache_clear()
     _ground_skeleton.cache_clear()
+    _parse_block.cache_clear()
 
 
 def flags_of(verdict):

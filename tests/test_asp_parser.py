@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from asploop.asp import parse_program, render_program, render_statement
+from asploop.asp import parse_program, parser, render_program, render_statement
+from asploop.asp.parser import _parse_block, _parse_whole
 from asploop.asp.syntax import (
     Anon,
     Arith,
@@ -176,6 +177,40 @@ def test_recovery_continues_after_bad_statement():
     assert any(s.kind == "fact" and s.atom.pred == "q" for s in result.statements)
 
 
+def test_block_ending_inside_a_statement_joins_the_next_block():
+    # `p(1)` has no final '.', so the whole text is the one rule
+    (stmt,) = parse_ok("p(1)\n\n:- q.")
+    assert stmt == Rule(Atom("p", (Num(1),)), (AtomLit(Atom("q")),))
+    assert (stmt.source_text, stmt.line) == ("p ( 1 ) :- q .", 1)
+
+
+def test_lone_period_block_resyncs_into_the_next_block():
+    # the resync skips the '.' and then runs on to the next '.', past q(2)
+    result = parse_program("p(1).\n\n.\n\nq(2).\n\nr(3).")
+    assert [(d.message, d.line, d.col) for d in result.diagnostics] == [
+        ("cannot start a statement with '.'", 3, 1)
+    ]
+    assert [(s.atom.pred, s.line) for s in result.statements] == [("p", 1), ("r", 7)]
+
+
+def test_each_block_is_tokenized_once(monkeypatch):
+    _parse_block.cache_clear()
+    tokenized = []
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return original(text)
+
+    original = parser.tokenize
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    first = parse_program("p(1).\n\nq(2).")
+    second = parse_program("p(1).\n\n\nr(3).")
+    assert tokenized == ["p(1).", "q(2).", "\nr(3)."]
+    assert [(s.atom.pred, s.line) for s in first.statements + second.statements] == [
+        ("p", 1), ("q", 3), ("p", 1), ("r", 4)
+    ]
+
+
 def test_render_round_trip_on_reference(event_ref):
     first = parse_ok(event_ref.full_program)
     rendered = render_program(first)
@@ -261,3 +296,37 @@ def test_print_parse_print_fixed_point(program):
 def test_statement_renderers_agree(program):
     joined = "".join(render_statement(s) + "\n" for s in program)
     assert joined == render_program(program)
+
+
+# --------------------------------------------------------------------------
+# Property: joining the cached block parses equals parsing the whole text
+
+def full_parse(result):
+    return (
+        [(s, s.source_text, s.line) for s in result.statements],
+        [(d.severity, d.message, d.line, d.col) for d in result.diagnostics],
+    )
+
+
+blocks = st.one_of(
+    st.lists(statements, min_size=1, max_size=3).map(lambda ss: "\n".join(map(render_statement, ss))),
+    statements.map(lambda s: render_statement(s)[:-1]),  # missing its final '.'
+    st.sampled_from([
+        ".",  # resync skips it and runs into the next block
+        "$",  # lex error
+        "p(a). $",
+        "p(a",  # errors at end of input
+        ":- p(X),",
+        "q :-",
+        "p(a. q(b).",  # resyncs within the block
+        "% comment only",
+        "% one\n% two",
+        "",
+    ]),
+)
+
+
+@given(st.lists(blocks, min_size=1, max_size=5), st.lists(st.sampled_from(["\n\n", "\n\n\n"]), min_size=4, max_size=4))
+def test_block_parse_equals_whole_text_parse(parts, separators):
+    text = parts[0] + "".join(sep + block for sep, block in zip(separators, parts[1:]))
+    assert full_parse(parse_program(text)) == full_parse(_parse_whole(text))

@@ -6,6 +6,7 @@ import pytest
 
 from asploop import gateway as gateway_mod
 from asploop.asp import parse_program, render_ground_atom
+from asploop.asp.parser import _parse_block
 from asploop.gateway import (
     DEFAULT_CAP,
     SolverConfigError,
@@ -129,6 +130,15 @@ def test_external_backend_matches_internal(cmd):
             b.cap_exceeded,
             b.has_error,
         ), text
+
+
+def test_external_solve_leaves_the_block_cache_alone():
+    # the atoms a solver prints are parsed outside the block cache, so
+    # they cannot evict the blocks of the programs being solved
+    _parse_block.cache_clear()
+    verdict = SolverGateway(backend="external", solver_cmd=REFSOLVER_CMD).solve(MANY)
+    assert verdict.model_count == 8
+    assert _parse_block.cache_info().currsize == 0
 
 
 def test_external_cap_exceeded():
