@@ -232,13 +232,11 @@ class _Parser:
         result = ParseResult()
         while self.peek().type != "EOF":
             start = self.pos
-            start_tok = self.peek()
             try:
                 stmts = self.statement()
                 end = self.pos
                 source = self.source_span(start, end)
-                for s in stmts:
-                    result.statements.append(self.attach(s, source, start_tok.line))
+                result.statements.extend(replace(s, source_text=source) for s in stmts)
                 self.boundary = end
             except _StatementError as exc:
                 result.diagnostics.append(exc.diag)
@@ -248,10 +246,6 @@ class _Parser:
     def source_span(self, start: int, end: int) -> str:
         toks = self.tokens[start:end]
         return " ".join(t.text for t in toks)
-
-    def attach(self, stmt: Statement, source: str, line: int) -> Statement:
-        # dataclasses are frozen; rebuild with provenance attached
-        return type(stmt)(**{**{f: getattr(stmt, f) for f in stmt.__dataclass_fields__ if f not in ("source_text", "line")}, "source_text": source, "line": line})
 
     def resync(self, start: int) -> None:
         # skip to just past the next '.', or to EOF
@@ -524,22 +518,18 @@ def parse_program(text: str) -> ParseResult:
         if parsed is None or not (parsed[2] or index == last):
             return _parse_whole(text)
         statements, diagnostics, _ = parsed
-        if offset:
-            result.statements.extend(replace(s, line=s.line + offset) for s in statements)
-            result.diagnostics.extend(replace(d, line=d.line + offset) for d in diagnostics)
-        else:
-            result.statements.extend(statements)
-            result.diagnostics.extend(diagnostics)
+        result.statements.extend(statements)
+        result.diagnostics.extend(replace(d, line=d.line + offset) for d in diagnostics)
         offset += block.count("\n") + 2
     return result
 
 
 @functools.lru_cache(maxsize=256)
 def _parse_block(block: str) -> tuple[tuple[Statement, ...], tuple[Diagnostic, ...], bool] | None:
-    """One block's statements and diagnostics, lines counted from the block's
-    first line, and whether the block ends between statements; None when it
-    does not tokenize. A block's tokens are those of the same span of the
-    whole text: no token or comment spans a blank line."""
+    """One block's statements and diagnostics, diagnostic lines counted from
+    the block's first line, and whether the block ends between statements;
+    None when it does not tokenize. A block's tokens are those of the same
+    span of the whole text: no token or comment spans a blank line."""
     try:
         parser = _Parser(block)
     except LexError:

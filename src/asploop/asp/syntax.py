@@ -99,7 +99,6 @@ class ChoiceElement:
 class Fact:
     atom: Atom
     source_text: str = field(default="", compare=False)
-    line: int = field(default=0, compare=False)
 
     kind = "fact"
 
@@ -109,7 +108,6 @@ class Rule:
     head: Atom
     body: tuple[Literal, ...]
     source_text: str = field(default="", compare=False)
-    line: int = field(default=0, compare=False)
 
     kind = "rule"
 
@@ -118,7 +116,6 @@ class Rule:
 class Constraint:
     body: tuple[Literal, ...]
     source_text: str = field(default="", compare=False)
-    line: int = field(default=0, compare=False)
 
     kind = "constraint"
 
@@ -130,7 +127,6 @@ class Choice:
     elements: tuple[ChoiceElement, ...]
     body: tuple[Literal, ...] = ()
     source_text: str = field(default="", compare=False)
-    line: int = field(default=0, compare=False)
 
     kind = "choice-rule"
 
@@ -145,7 +141,6 @@ class CardinalityRule:
     count: int
     body: tuple[Literal, ...] = ()
     source_text: str = field(default="", compare=False)
-    line: int = field(default=0, compare=False)
 
     kind = "cardinality-head-rule"
 

@@ -2,9 +2,11 @@
 
 ScriptedGenerator replays canned completions keyed by the SHA-256 of the
 prompt, which makes whole pipeline runs reproducible without any model.
-HttpGenerator talks to a chat-completions-style endpoint. RecordingGenerator
-wraps a deterministic candidate source and writes out the consumed
-completions as a scripted fixture.
+HttpGenerator talks to a chat-completions-style endpoint through the standard
+library's `urllib.request`, imported only when a request is sent, so a
+scripted run loads no HTTP or TLS stack. RecordingGenerator wraps a
+deterministic candidate source and writes out the consumed completions as a
+scripted fixture.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
-
-import requests
 
 GEN_TOKEN_ENV = "ASPLOOP_GEN_TOKEN"
 
@@ -122,18 +122,22 @@ class HttpGenerator:
     reads choices[i].message.content. The endpoint reports one aggregate
     usage.completion_tokens figure; it is split evenly over the choices with
     the remainder on the first so the per-candidate totals stay exact.
+    `urlopen` is called like `urllib.request.urlopen`, which is the default.
     """
 
     name = "http"
 
-    def __init__(self, url: str, model: str, timeout: float = 60.0, session=None):
+    def __init__(self, url: str, model: str, timeout: float = 60.0, urlopen=None):
         self.url = url
         self.model = model
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._urlopen = urlopen
 
     def complete(self, prompt: str, n: int, temperature: float) -> list[RawCompletion]:
-        headers = {}
+        from http.client import HTTPException
+        from urllib import error, request
+
+        headers = {"Content-Type": "application/json"}
         token = os.environ.get(GEN_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
@@ -144,25 +148,32 @@ class HttpGenerator:
             "temperature": temperature,
         }
         try:
-            response = self._session.post(
-                self.url, json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            sent = request.Request(self.url, json.dumps(body).encode("utf-8"), headers)
+            with (self._urlopen or request.urlopen)(sent, timeout=self.timeout) as response:
+                status, raw = response.status, response.read()
+        except error.HTTPError as exc:
+            status = exc.code
+            exc.close()
+        except (OSError, HTTPException, ValueError) as exc:
             raise GeneratorTransportError(f"http backend: {exc}") from exc
-        if response.status_code >= 500:
-            raise GeneratorTransportError(f"http backend: status {response.status_code}")
-        if response.status_code != 200:
-            raise GeneratorError(f"http backend: status {response.status_code}")
+        if status >= 500:
+            raise GeneratorTransportError(f"http backend: status {status}")
+        if status != 200:
+            raise GeneratorError(f"http backend: status {status}")
         try:
-            payload = response.json()
+            payload = json.loads(raw)
             choices = payload["choices"]
             texts = [choice["message"]["content"] for choice in choices]
         except (ValueError, KeyError, TypeError) as exc:
             raise GeneratorError(f"http backend: malformed response: {exc}") from exc
-        total = 0
         usage = payload.get("usage")
-        if isinstance(usage, dict):
-            total = int(usage.get("completion_tokens") or 0)
+        total = usage.get("completion_tokens") if isinstance(usage, dict) else None
+        total = 0 if total is None else total
+        if not all(isinstance(text, str) for text in texts) or type(total) is not int:
+            raise GeneratorError(
+                "http backend: malformed response: a content that is not a string"
+                f" or completion_tokens {total!r}"
+            )
         counts = _split_evenly(total, len(texts))
         return [RawCompletion(text, count) for text, count in zip(texts, counts)]
 

@@ -71,11 +71,13 @@ def _validate_instance(inst: PuzzleInstance) -> None:
     n = None
     seen_names = set()
     for cat in inst.categories:
-        if not cat.name:
-            raise PuzzleFormatError(f"{ident}: category with empty name")
+        if not cat.name or not isinstance(cat.name, str):
+            raise PuzzleFormatError(f"{ident}: category name must be a non-empty string")
         if cat.name in seen_names:
             raise PuzzleFormatError(f"{ident}: duplicate category name {cat.name!r}")
         seen_names.add(cat.name)
+        if not all(isinstance(member, str) for member in cat.members):
+            raise PuzzleFormatError(f"{ident}: members of category {cat.name!r} must be strings")
         if len(cat.members) < 2:
             raise PuzzleFormatError(f"{ident}: category {cat.name!r} needs >= 2 members")
         if len(set(cat.members)) != len(cat.members):
@@ -88,6 +90,8 @@ def _validate_instance(inst: PuzzleInstance) -> None:
             )
     if not inst.hints:
         raise PuzzleFormatError(f"{ident}: hints must be non-empty")
+    if not all(isinstance(hint, str) for hint in inst.hints):
+        raise PuzzleFormatError(f"{ident}: hints must be strings")
     if len(inst.solution) != n:
         raise PuzzleFormatError(
             f"{ident}: solution has {len(inst.solution)} rows, expected {n}"
@@ -116,22 +120,39 @@ def _validate_instance(inst: PuzzleInstance) -> None:
 # Serialization
 
 def instance_from_dict(data: dict) -> PuzzleInstance:
+    _expect(data, dict, "entry")
+    ident = data.get("id", "<missing id>")
     try:
         categories = tuple(
-            EntityCategory(name=c["name"], members=tuple(c["members"]))
-            for c in data["categories"]
+            EntityCategory(
+                name=_expect(c, dict, f"{ident}: category")["name"],
+                members=tuple(_expect(c["members"], list, f"{ident}: members")),
+            )
+            for c in _expect(data["categories"], list, f"{ident}: categories")
         )
+        meta = data.get("meta")
         return PuzzleInstance(
             id=data["id"],
             description=data["description"],
             categories=categories,
-            hints=tuple(data["hints"]),
-            solution=tuple(tuple(row) for row in data["solution"]),
-            meta=dict(data.get("meta") or {}),
+            hints=tuple(_expect(data["hints"], list, f"{ident}: hints")),
+            solution=tuple(
+                tuple(_expect(row, list, f"{ident}: solution row"))
+                for row in _expect(data["solution"], list, f"{ident}: solution")
+            ),
+            meta={} if meta is None else dict(_expect(meta, dict, f"{ident}: meta")),
         )
     except KeyError as exc:
-        ident = data.get("id", "<missing id>")
         raise PuzzleFormatError(f"{ident}: missing field {exc.args[0]!r}") from None
+
+
+def _expect(value, kind: type, what: str):
+    """`value`, if it is a JSON array (`list`) or object (`dict`) as `kind`
+    says; otherwise a PuzzleFormatError saying `what` it should have been."""
+    if not isinstance(value, kind):
+        wanted = "an array" if kind is list else "an object"
+        raise PuzzleFormatError(f"{what} must be {wanted}, not {type(value).__name__}")
+    return value
 
 
 def instance_to_dict(inst: PuzzleInstance) -> dict:

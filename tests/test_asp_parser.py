@@ -181,7 +181,7 @@ def test_block_ending_inside_a_statement_joins_the_next_block():
     # `p(1)` has no final '.', so the whole text is the one rule
     (stmt,) = parse_ok("p(1)\n\n:- q.")
     assert stmt == Rule(Atom("p", (Num(1),)), (AtomLit(Atom("q")),))
-    assert (stmt.source_text, stmt.line) == ("p ( 1 ) :- q .", 1)
+    assert stmt.source_text == "p ( 1 ) :- q ."
 
 
 def test_lone_period_block_resyncs_into_the_next_block():
@@ -190,7 +190,7 @@ def test_lone_period_block_resyncs_into_the_next_block():
     assert [(d.message, d.line, d.col) for d in result.diagnostics] == [
         ("cannot start a statement with '.'", 3, 1)
     ]
-    assert [(s.atom.pred, s.line) for s in result.statements] == [("p", 1), ("r", 7)]
+    assert [s.atom.pred for s in result.statements] == ["p", "r"]
 
 
 def test_each_block_is_tokenized_once(monkeypatch):
@@ -206,9 +206,7 @@ def test_each_block_is_tokenized_once(monkeypatch):
     first = parse_program("p(1).\n\nq(2).")
     second = parse_program("p(1).\n\n\nr(3).")
     assert tokenized == ["p(1).", "q(2).", "\nr(3)."]
-    assert [(s.atom.pred, s.line) for s in first.statements + second.statements] == [
-        ("p", 1), ("q", 3), ("p", 1), ("r", 4)
-    ]
+    assert [s.atom.pred for s in first.statements + second.statements] == ["p", "q", "p", "r"]
 
 
 def test_render_round_trip_on_reference(event_ref):
@@ -303,7 +301,7 @@ def test_statement_renderers_agree(program):
 
 def full_parse(result):
     return (
-        [(s, s.source_text, s.line) for s in result.statements],
+        [(s, s.source_text) for s in result.statements],
         [(d.severity, d.message, d.line, d.col) for d in result.diagnostics],
     )
 

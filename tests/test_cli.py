@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import asploop
 from asploop import cli, fixtures
 from asploop.puzzles import save_dataset
 from conftest import REFSOLVER_CMD_STR
@@ -318,6 +322,22 @@ def test_http_generator_requires_url(tmp_path, event_dataset, capsys):
     assert "url" in capsys.readouterr().err.lower()
 
 
+def test_a_run_imports_only_the_standard_library():
+    # each set is compared with a bare interpreter's, since site hooks may load modules
+    env = {**os.environ, "PYTHONPATH": str(Path(asploop.__file__).parents[1])}
+
+    def loaded(imports):
+        code = f"{imports}; import sys; print(*sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        return set(run.stdout.split())
+
+    added = loaded("import asploop.cli, asploop.datagen, asploop.search") - loaded("pass")
+    top_level = {name.split(".")[0] for name in added}
+    assert top_level - sys.stdlib_module_names == {"asploop"}
+    assert not added & {"urllib.request", "ssl"}
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(["frobnicate"])
@@ -351,12 +371,13 @@ def test_bad_numbers_are_usage_errors(tmp_path, event_dataset, program, capsys, 
     assert not out.exists()
 
 
-# the input that cannot be read, and how reading it fails
+# the input that cannot be read, and how reading it fails; a dataset entry
+# of the wrong shape is refused the same way
 UNREADABLE = {
     f"{target}-{fault}": (target, fault)
     for target in ("program", "dataset", "preamble")
     for fault in ("not-utf8", "oserror")
-}
+} | {"dataset-malformed-entry": ("dataset", "malformed-entry")}
 
 
 @pytest.mark.parametrize("target, fault", UNREADABLE.values(), ids=UNREADABLE.keys())
@@ -366,7 +387,7 @@ def test_unreadable_inputs_are_usage_errors(tmp_path, event_dataset, program, ca
     paths = {"program": program(GOLDEN), "dataset": event_dataset,
              "preamble": program("preamble\n", "preamble.txt")}
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"\xff\xfe bytes\n")
+    bad.write_bytes(b"[1]\n" if fault == "malformed-entry" else b"\xff\xfe bytes\n")
     paths[target] = str(bad)
     if fault == "oserror":
         read_text = Path.read_text
@@ -386,7 +407,8 @@ def test_unreadable_inputs_are_usage_errors(tmp_path, event_dataset, program, ca
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"asploop: cannot read {bad}: ")
+    reason = "bad dataset" if fault == "malformed-entry" else "cannot read"
+    assert captured.err.startswith(f"asploop: {reason} {bad}: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
+import threading
+from http.client import IncompleteRead
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import HTTPError, URLError
 
 import pytest
-import requests
 
 from asploop.generators import (
     FixtureExhausted,
@@ -194,23 +198,37 @@ def test_write_fixture_rows_are_sorted_and_loadable(tmp_path):
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
+    def __init__(self, payload=None, body=None):
+        self.status = 200
+        self._body = json.dumps(payload or {}).encode() if body is None else body
 
-    def json(self):
-        return self._payload
+    def read(self):
+        return self._body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
 
 
-class FakeSession:
+def http_error(status):
+    return HTTPError("http://unit.test", status, "status", {}, io.BytesIO())
+
+
+class FakeUrlopen:
+    """Called like urllib.request.urlopen: records each request, then
+    returns the response or raises the exception."""
+
     def __init__(self, response=None, exc=None):
         self.response = response
         self.exc = exc
-        self.requests = []
+        self.sent = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append(
-            {"url": url, "json": json, "headers": headers, "timeout": timeout}
+    def __call__(self, request, timeout=None):
+        self.sent.append(
+            {"url": request.full_url, "method": request.get_method(), "json": json.loads(request.data),
+             "headers": dict(request.header_items()), "timeout": timeout}
         )
         if self.exc:
             raise self.exc
@@ -225,14 +243,17 @@ def chat_payload(texts, completion_tokens):
 
 
 def test_http_generator_round_trip():
-    session = FakeSession(FakeResponse(payload=chat_payload(["p(a).", "q(b)."], 7)))
-    generator = HttpGenerator("http://unit.test/v1", "toy-model", session=session)
+    urlopen = FakeUrlopen(FakeResponse(payload=chat_payload(["p(a).", "q(b)."], 7)))
+    generator = HttpGenerator("http://unit.test/v1", "toy-model", urlopen=urlopen)
     batch = generator.complete("prompt text", 2, 0.4)
     assert [c.text for c in batch] == ["p(a).", "q(b)."]
     # 7 tokens over 2 choices: remainder rides on the first
     assert [c.token_count for c in batch] == [4, 3]
-    sent = session.requests[0]
+    sent = urlopen.sent[0]
     assert sent["url"] == "http://unit.test/v1"
+    assert sent["method"] == "POST"
+    assert sent["headers"]["Content-type"] == "application/json"
+    assert sent["timeout"] == 60.0
     assert sent["json"]["model"] == "toy-model"
     assert sent["json"]["n"] == 2
     assert sent["json"]["temperature"] == 0.4
@@ -241,48 +262,133 @@ def test_http_generator_round_trip():
 
 def test_http_generator_sends_bearer_token(monkeypatch):
     monkeypatch.setenv("ASPLOOP_GEN_TOKEN", "sekret")
-    session = FakeSession(FakeResponse(payload=chat_payload(["p(a)."], 1)))
-    HttpGenerator("http://unit.test", "m", session=session).complete("x", 1, 0.0)
-    assert session.requests[0]["headers"]["Authorization"] == "Bearer sekret"
+    urlopen = FakeUrlopen(FakeResponse(payload=chat_payload(["p(a)."], 1)))
+    HttpGenerator("http://unit.test", "m", urlopen=urlopen).complete("x", 1, 0.0)
+    assert urlopen.sent[0]["headers"]["Authorization"] == "Bearer sekret"
 
 
 def test_http_generator_no_token_no_header(monkeypatch):
     monkeypatch.delenv("ASPLOOP_GEN_TOKEN", raising=False)
-    session = FakeSession(FakeResponse(payload=chat_payload(["p(a)."], 1)))
-    HttpGenerator("http://unit.test", "m", session=session).complete("x", 1, 0.0)
-    assert "Authorization" not in session.requests[0]["headers"]
+    urlopen = FakeUrlopen(FakeResponse(payload=chat_payload(["p(a)."], 1)))
+    HttpGenerator("http://unit.test", "m", urlopen=urlopen).complete("x", 1, 0.0)
+    assert "Authorization" not in urlopen.sent[0]["headers"]
 
 
 def test_http_generator_5xx_is_transport_error():
-    session = FakeSession(FakeResponse(status_code=503))
-    generator = HttpGenerator("http://unit.test", "m", session=session)
+    error = http_error(503)
+    generator = HttpGenerator("http://unit.test", "m", urlopen=FakeUrlopen(exc=error))
     with pytest.raises(GeneratorTransportError):
         generator.complete("x", 1, 0.0)
+    assert error.fp.closed
 
 
 def test_http_generator_4xx_is_permanent_error():
-    session = FakeSession(FakeResponse(status_code=401))
-    generator = HttpGenerator("http://unit.test", "m", session=session)
-    with pytest.raises(GeneratorError):
+    urlopen = FakeUrlopen(exc=http_error(401))
+    generator = HttpGenerator("http://unit.test", "m", urlopen=urlopen)
+    with pytest.raises(GeneratorError) as info:
         generator.complete("x", 1, 0.0)
+    assert not isinstance(info.value, GeneratorTransportError)
 
 
 def test_http_generator_network_failure_is_transport_error():
-    session = FakeSession(exc=requests.ConnectionError("refused"))
-    generator = HttpGenerator("http://unit.test", "m", session=session)
-    with pytest.raises(GeneratorTransportError):
-        generator.complete("x", 1, 0.0)
+    # what urlopen or the response raises while sending or receiving
+    for exc in (
+        URLError(ConnectionRefusedError(111, "Connection refused")),
+        TimeoutError("timed out"),
+        IncompleteRead(b"{\"choices\"", 40),
+    ):
+        generator = HttpGenerator("http://unit.test", "m", urlopen=FakeUrlopen(exc=exc))
+        with pytest.raises(GeneratorTransportError):
+            generator.complete("x", 1, 0.0)
+    # a URL urllib cannot open fails before any connection is made
+    with pytest.raises(GeneratorTransportError, match="unknown url type"):
+        HttpGenerator("unit.test", "m").complete("x", 1, 0.0)
 
 
-def test_http_generator_malformed_payload():
-    session = FakeSession(FakeResponse(payload={"wrong": []}))
-    generator = HttpGenerator("http://unit.test", "m", session=session)
-    with pytest.raises(GeneratorError):
+# a 200 response body that is not a usable chat completion
+MALFORMED = {
+    "no-choices": json.dumps({"wrong": []}).encode(),
+    "not-json": b"<html>busy</html>",
+    "not-an-object": b"[1, 2]",
+    "no-message": json.dumps({"choices": [{"text": "p(a)."}]}).encode(),
+    "null-content": json.dumps({"choices": [{"message": {"content": None}}]}).encode(),
+    "list-content": json.dumps({"choices": [{"message": {"content": ["p(a)."]}}]}).encode(),
+    "string-token-count": json.dumps(chat_payload(["p(a)."], "n/a")).encode(),
+    "float-token-count": json.dumps(chat_payload(["p(a)."], 1.5)).encode(),
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED.values(), ids=MALFORMED.keys())
+def test_http_generator_malformed_payload(body):
+    urlopen = FakeUrlopen(FakeResponse(body=body))
+    generator = HttpGenerator("http://unit.test", "m", urlopen=urlopen)
+    with pytest.raises(GeneratorError, match="malformed response"):
         generator.complete("x", 1, 0.0)
 
 
 def test_http_generator_missing_usage_defaults_to_zero():
-    payload = {"choices": [{"message": {"content": "p(a)."}}]}
-    session = FakeSession(FakeResponse(payload=payload))
-    batch = HttpGenerator("http://unit.test", "m", session=session).complete("x", 1, 0.0)
-    assert batch[0].token_count == 0
+    choices = [{"message": {"content": "p(a)."}}]
+    for payload in (
+        {"choices": choices},
+        {"choices": choices, "usage": {}},
+        {"choices": choices, "usage": {"completion_tokens": None}},
+    ):
+        urlopen = FakeUrlopen(FakeResponse(payload=payload))
+        batch = HttpGenerator("http://unit.test", "m", urlopen=urlopen).complete("x", 1, 0.0)
+        assert batch[0].token_count == 0
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's `status` and `reply`, and keeps
+    what it was sent on the server."""
+
+    def do_POST(self):
+        self.server.received.append(
+            (dict(self.headers), json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        )
+        body = json.dumps(self.server.reply).encode()
+        self.send_response(self.server.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ChatHandler)
+    server.status, server.reply, server.received = 200, chat_payload(["p(a).", "q(b)."], 3), []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_http_generator_over_loopback(chat_server, monkeypatch):
+    monkeypatch.setenv("ASPLOOP_GEN_TOKEN", "sekret")
+    url = f"http://127.0.0.1:{chat_server.server_port}/v1/chat/completions"
+    generator = HttpGenerator(url, "toy-model", timeout=10.0)
+    assert generator.complete("prompt text", 2, 0.4) == [RawCompletion("p(a).", 2), RawCompletion("q(b).", 1)]
+    headers, body = chat_server.received[0]
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer sekret"
+    assert body == {"model": "toy-model", "messages": [{"role": "user", "content": "prompt text"}],
+                    "n": 2, "temperature": 0.4}
+    chat_server.status = 503
+    with pytest.raises(GeneratorTransportError, match="status 503"):
+        generator.complete("prompt text", 2, 0.4)
+    chat_server.status = 401
+    with pytest.raises(GeneratorError, match="status 401") as info:
+        generator.complete("prompt text", 2, 0.4)
+    assert not isinstance(info.value, GeneratorTransportError)
+    chat_server.shutdown()
+    chat_server.server_close()
+    with pytest.raises(GeneratorTransportError):
+        generator.complete("prompt text", 2, 0.4)

@@ -132,6 +132,41 @@ def test_missing_field_is_reported():
         instance_from_dict(data)
 
 
+def with_field(field, value):
+    data = instance_to_dict(make_instance())
+    data[field] = value
+    return data
+
+
+# an entry whose shape is wrong, and what the error says
+MALFORMED_ENTRIES = {
+    "entry-not-an-object": ([1], "entry must be an object"),
+    "categories-a-number": (with_field("categories", 5), "categories must be an array"),
+    "category-not-an-object": (with_field("categories", [["a", "b"], ["1", "2"]]),
+                               "category must be an object"),
+    "members-a-string": (with_field("categories", [{"name": "letters", "members": "ab"},
+                                                   {"name": "numbers", "members": ["1", "2"]}]),
+                         "members must be an array"),
+    "members-not-strings": (with_field("categories", [{"name": "letters", "members": [["a"], ["b"]]},
+                                                      {"name": "numbers", "members": ["1", "2"]}]),
+                            "members of category 'letters' must be strings"),
+    "name-not-a-string": (with_field("categories", [{"name": ["letters"], "members": ["a", "b"]},
+                                                    {"name": "numbers", "members": ["1", "2"]}]),
+                          "category name must be a non-empty string"),
+    "hints-a-string": (with_field("hints", "abc"), "hints must be an array"),
+    "hints-not-strings": (with_field("hints", [1]), "hints must be strings"),
+    "solution-a-number": (with_field("solution", 5), "solution must be an array"),
+    "solution-rows-strings": (with_field("solution", ["a1", "b2"]), "solution row must be an array"),
+    "meta-a-number": (with_field("meta", 5), "meta must be an object"),
+}
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES.keys())
+def test_malformed_entry_is_reported(data, message):
+    with pytest.raises(PuzzleFormatError, match=message):
+        instance_from_dict(data)
+
+
 names = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
 
 
