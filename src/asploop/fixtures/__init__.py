@@ -1,9 +1,12 @@
 """Packaged puzzle corpus, reference encodings, and scripted generator data.
 
-Everything under data/ is produced by `python3 -m asploop.fixtures.build`
-from the definitions in build.py, and the loaders here read those files
-back. A stale or hand-edited data directory fails the test suite: the drift
-test rebuilds the directory and compares it byte for byte, and
+data/ holds each puzzle's definition once (puzzles.json and the reference
+encodings under encodings/), with the cross-check programs and the scripted
+generator fixtures; the loaders here read those files. `python3 -m
+asploop.fixtures.build` rebuilds the directory from those definitions: it
+re-derives and checks each solution and records the scripted fixtures. A
+stale or hand-edited data directory fails the test suite: the drift test
+rebuilds the directory and compares it byte for byte, and
 tests/test_fixtures.py re-solves what it stores.
 """
 

@@ -110,8 +110,8 @@ def _fixture_row(raw: bytes) -> tuple[str, list[RawCompletion]] | None:
     counts = row.get("token_counts")
     if counts in (None, []):
         counts = [0] * len(completions)
-    if not isinstance(counts, list) or not all(type(c) is int for c in counts):
-        raise ValueError("token_counts is not a list of integers")
+    if not isinstance(counts, list) or not all(type(c) is int and c >= 0 for c in counts):
+        raise ValueError("token_counts is not a list of non-negative integers")
     if len(counts) != len(completions):
         raise ValueError("token_counts length differs from completions")
     return digest, [RawCompletion(text, count) for text, count in zip(completions, counts)]
@@ -169,7 +169,8 @@ class HttpGenerator:
         usage = payload.get("usage")
         total = usage.get("completion_tokens") if isinstance(usage, dict) else None
         total = 0 if total is None else total
-        if not all(isinstance(text, str) for text in texts) or type(total) is not int:
+        valid_total = type(total) is int and total >= 0
+        if not valid_total or not all(isinstance(text, str) for text in texts):
             raise GeneratorError(
                 "http backend: malformed response: a content that is not a string"
                 f" or completion_tokens {total!r}"

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from asploop import fixtures
@@ -168,9 +174,10 @@ def test_solve_reference_returns_all_models():
 
 
 def test_rebuilt_fixture_data_matches_the_packaged_data(tmp_path):
-    """The drift check: rebuilding from the specs, which replays the
-    scripted scenarios through search, datagen and the eval report, must
-    reproduce every packaged file byte for byte. Takes about a minute."""
+    """The drift check: rebuilding from the packaged definitions, which
+    re-derives every solution and replays the scripted scenarios through
+    search, datagen and the eval report, must reproduce every packaged file
+    byte for byte. Takes a few seconds."""
     out = tmp_path / "data"
     build.build_all(out)
     packaged = fixtures.data_dir()
@@ -178,3 +185,24 @@ def test_rebuilt_fixture_data_matches_the_packaged_data(tmp_path):
     assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
     for name in files:
         assert (out / name).read_bytes() == (packaged / name).read_bytes(), name
+
+
+def _files(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_in_place_rebuild_reproduces_the_data(tmp_path):
+    """The default rebuild writes over the data directory it reads its
+    definitions from, so it must read them all before clearing it. Runs
+    on a copy of the package, never on the packaged data itself."""
+    package = Path(fixtures.__file__).parents[1]
+    shutil.copytree(package, tmp_path / "asploop", ignore=shutil.ignore_patterns("__pycache__"))
+    run = subprocess.run(
+        [sys.executable, "-m", "asploop.fixtures.build"],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True, timeout=300,
+    )
+    copy = tmp_path / "asploop" / "fixtures" / "data"
+    assert run.returncode == 0, run.stderr
+    assert str(copy) in run.stdout
+    assert _files(copy) == _files(fixtures.data_dir())

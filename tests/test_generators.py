@@ -105,6 +105,9 @@ BAD_ROWS = {
     "string-token-count": (
         json.dumps({"prompt_sha256": DIGEST, "completions": ["a."], "token_counts": ["1"]}).encode(),
         "token_counts"),
+    "negative-token-count": (
+        json.dumps({"prompt_sha256": DIGEST, "completions": ["a."], "token_counts": [-1]}).encode(),
+        "token_counts"),
     "token-counts-not-a-list": (
         json.dumps({"prompt_sha256": DIGEST, "completions": ["a."], "token_counts": 5}).encode(),
         "token_counts"),
@@ -315,6 +318,7 @@ MALFORMED = {
     "list-content": json.dumps({"choices": [{"message": {"content": ["p(a)."]}}]}).encode(),
     "string-token-count": json.dumps(chat_payload(["p(a)."], "n/a")).encode(),
     "float-token-count": json.dumps(chat_payload(["p(a)."], 1.5)).encode(),
+    "negative-token-count": json.dumps(chat_payload(["p(a).", "p(b)."], -3)).encode(),
 }
 
 
