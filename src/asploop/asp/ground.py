@@ -26,11 +26,14 @@ instantiation the element comparisons are already decided, so an instance
 either holds for every model (dropped) or forbids its body atoms (kept as a
 plain ground constraint).
 
-Each statement is compiled once, before its join runs, into closures: a
-matcher per positive atom in join order, an instantiator per negated atom
-and head, a test per comparison (`_Plan`). Comparisons run after the full
-join, in body order, and every cardinality element is evaluated: deciding
-either earlier could skip an instance whose arithmetic raises.
+Each statement's join is compiled once, before it runs, into one Python
+function (`_Plan`, `_Join`): nested loops over the index buckets in join
+order, with every argument test, binding, comparison and cardinality
+element inline. Its source holds no program text, so statements of one
+shape share one code object. Comparisons run after the full join, in body
+order, and every cardinality element is evaluated: deciding either earlier
+could skip an instance whose arithmetic raises. A join that tries more than
+JOIN_BUDGET atoms raises GroundingError.
 
 A constraint statement that swapping its variables maps onto itself, such
 as every puzzle's pairwise rule `{P1 = P2; ...} = 0 :- a(P1, ..), a(P2, ..),
@@ -61,7 +64,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import eq, ge, gt, itemgetter, le, lt, ne
+from typing import Callable
 
 from .syntax import (
     Anon,
@@ -74,7 +77,6 @@ from .syntax import (
     Constraint,
     Fact,
     GroundAtom,
-    GroundValue,
     Literal,
     Num,
     Rule,
@@ -199,12 +201,27 @@ class GroundProgram:
 # --------------------------------------------------------------------------
 # Compiling statements into joins
 #
-# Each body is compiled once, before its join runs, into closures over the
-# binding dict. Which variables the binding holds is fixed at every point of
-# the join order, so each variable occurrence is compiled as either a lookup
-# or a first binding, and a failed match needs no undo: whatever it bound is
-# overwritten before anything reads it. The same walk is the safety check: a
-# variable read before anything binds it raises GroundingError.
+# Each body is compiled once, before its join runs, into the source of one
+# Python function: a loop per positive atom in join order, nested, over the
+# index bucket of its predicate; each argument's test and first binding
+# inline, with variables as locals; then the comparisons, the negated atoms
+# and what the join produces. Which variables are bound is fixed at every
+# point of the join order, so each variable occurrence is compiled as either
+# a test or a first binding. Ordering the body is the safety check: a
+# variable read before anything binds it raises GroundingError before any
+# source is written (`_Plan`).
+#
+# The source holds no program text. Predicate names and constants reach the
+# function through a tuple, and locals are named by position: v for
+# variables, a for matched atoms, i for their ids, k for constants and t for
+# temporaries. The source thus depends only on the statement's shape, and
+# statements that differ only in names and constants share one code object
+# (`_factory`). A generated function keeps no state, so threads share it.
+#
+# Every loop counts the atoms it tries against JOIN_BUDGET, per call.
+
+JOIN_BUDGET = 1_000_000
+
 
 class _Index:
     def __init__(self):
@@ -253,232 +270,417 @@ def _require_bound(terms, bound, source: str) -> None:
         raise GroundingError(f"unsafe variable{'s' if len(unsafe) > 1 else ''} {names}", source)
 
 
-def _term_fn(term: Term, source: str):
-    """Compile a term into a function of the binding. The caller has checked
-    that the binding holds every variable whenever the function runs."""
-    if isinstance(term, (Num, Sym)):
-        value = term.value if isinstance(term, Num) else term.name
-        return lambda binding: value
-    if isinstance(term, Var):
-        return itemgetter(term.name)
-    if isinstance(term, Tup):
-        items = term.items
-        if len(items) > 1 and all(isinstance(t, Var) for t in items):
-            return itemgetter(*(t.name for t in items))
-        fns = [_term_fn(t, source) for t in items]
-        return lambda binding: tuple([f(binding) for f in fns])
-    if isinstance(term, Arith):
-        lhs = _term_fn(term.lhs, source)
-        rhs = _term_fn(term.rhs, source)
-        add = term.op == "+"
-
-        def arith(binding):
-            x = lhs(binding)
-            y = rhs(binding)
-            if not isinstance(x, int) or not isinstance(y, int):
-                raise GroundingError("arithmetic over a symbolic constant", source)
-            return x + y if add else x - y
-        return arith
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _atom_fn(atom: Atom, bound, source: str):
-    """Compile an atom whose variables must all be in `bound` into a
-    function from the binding to its ground atom."""
-    _require_bound(atom.args, bound, source)
-    pred = atom.pred
-    args = _term_fn(Tup(atom.args), source)
-    return lambda binding: GroundAtom(pred, args(binding))
-
-
-_ORDER_TESTS = {"<": lt, ">": gt, "<=": le, ">=": ge}
-
-
-def _test_fn(op: str, negated: bool):
-    """The comparison of two ground values that a comparison literal makes."""
-    if op in ("==", "="):
-        test = eq
-    elif op == "!=":
-        test = ne
-    else:
-        order = _ORDER_TESTS[op]
-
-        def test(lhs, rhs):
-            return order(value_order_key(lhs), value_order_key(rhs))
-    if negated:
-        return lambda lhs, rhs: not test(lhs, rhs)
-    return test
-
-
-def _cmp_fn(lit: CmpLit, bound, source: str):
-    _require_bound((lit.lhs, lit.rhs), bound, source)
-    lhs = _term_fn(lit.lhs, source)
-    rhs = _term_fn(lit.rhs, source)
-    test = _test_fn(lit.op, lit.negated)
-    return lambda binding: test(lhs(binding), rhs(binding))
-
-
-def _step_fn(pattern: Term, bound: set[str], unready: list, source: str):
-    """Compile one argument pattern of a positive atom into step(value,
-    binding) -> bool, or None when it accepts anything. A variable's first
-    occurrence binds it and is added to `bound`; later ones compare. An
-    arithmetic pattern reading a variable not bound before it is appended
-    to `unready`, which makes the whole matcher unusable."""
-    if isinstance(pattern, Var):
-        name = pattern.name
-        if name in bound:
-            return lambda value, binding: binding[name] == value
-        bound.add(name)
-
-        def bind(value, binding):
-            binding[name] = value
-            return True
-        return bind
-    if isinstance(pattern, Anon):
-        return None
-    # ground values are int, str or tuple, and values of different kinds
-    # never compare equal, so a constant needs no type check
-    if isinstance(pattern, (Num, Sym)):
-        constant = pattern.value if isinstance(pattern, Num) else pattern.name
-        return lambda value, binding: value == constant
-    if isinstance(pattern, Tup):
-        size = len(pattern.items)
-        steps = _steps(pattern.items, bound, unready, source)
-
-        def tup(value, binding):
-            if not isinstance(value, tuple) or len(value) != size:
-                return False
-            for i, step in steps:
-                if not step(value[i], binding):
-                    return False
-            return True
-        return tup
-    if isinstance(pattern, Arith):
-        # arithmetic binds nothing: it reads variables bound before it
-        if not _term_vars((pattern,)) <= bound:
+def _bind_vars(patterns, bound: dict[str, None], unready: list) -> None:
+    """Matching `patterns` in order: add to `bound` each variable it binds,
+    in the order it binds them, and append to `unready` each arithmetic
+    pattern that reads a variable bound neither before it nor by an earlier
+    pattern."""
+    for pattern in patterns:
+        if isinstance(pattern, Var):
+            bound.setdefault(pattern.name)
+        elif isinstance(pattern, Tup):
+            _bind_vars(pattern.items, bound, unready)
+        elif isinstance(pattern, Arith) and _term_vars((pattern,)) - bound.keys():
             unready.append(pattern)
-            return None
-        evaluate = _term_fn(pattern, source)
-        return lambda value, binding: evaluate(binding) == value
-    raise TypeError(f"not a term: {pattern!r}")
-
-
-def _steps(patterns: tuple[Term, ...], bound: set[str], unready: list, source: str) -> list:
-    steps = []
-    for i, pattern in enumerate(patterns):
-        step = _step_fn(pattern, bound, unready, source)
-        if step is not None:
-            steps.append((i, step))
-    return steps
-
-
-def _match_fn(atom: Atom, bound: set[str], unready: list, source: str):
-    """Compile a positive atom into match(args, binding) -> bool, which
-    checks a ground atom's arguments and binds first occurrences. Adds the
-    variables it binds to `bound`, and its arithmetic that reads a variable
-    not yet bound to `unready`."""
-    names = [a.name for a in atom.args if isinstance(a, Var)]
-    if len(names) == len(atom.args) and len(set(names)) == len(names) and not bound.intersection(names):
-        bound.update(names)
-
-        def bind_all(values, binding):
-            binding.update(zip(names, values))
-            return True
-        return bind_all
-    steps = _steps(atom.args, bound, unready, source)
-
-    def match(values, binding):
-        for i, step in steps:
-            if not step(values[i], binding):
-                return False
-        return True
-    return match
 
 
 class _Plan:
-    """A body compiled for its join, plus the atom it instantiates.
+    """A body ordered for its join, plus the atom it instantiates.
 
-    levels holds one (predicate key, matcher, choice-dependent) triple per
+    levels holds one (atom, predicate key, choice-dependent) triple per
     positive atom, in join order: each pass takes the first remaining atom
     whose arithmetic reads only variables bound before it. atoms holds those
-    atoms in join order. negs holds one (choice-dependent, instantiator)
-    pair per negated atom and cmps one test per comparison, both in body
-    order; bound is the set of variables a full match binds, starting from
-    `bound`. A variable that the head, a negated atom or a comparison reads
-    must be in it, and the join must be orderable; otherwise GroundingError."""
+    atoms. negs holds one (atom, choice-dependent) pair per negated atom and
+    cmps the comparisons, both in body order. variables lists the variables
+    a full match binds in the order it binds them, starting with `outer`,
+    those an enclosing join binds. A variable that the head, a negated atom
+    or a comparison reads must be in it, and the join must be orderable;
+    otherwise GroundingError."""
 
-    __slots__ = ("levels", "atoms", "negs", "cmps", "head", "bound")
+    __slots__ = ("levels", "atoms", "negs", "cmps", "head", "outer", "variables", "source")
 
-    def __init__(self, body, dependent, source, bound=frozenset(), head: Atom | None = None):
+    def __init__(self, body, dependent, source, outer=(), head: Atom | None = None):
         pos, neg, cmps = _split_body(body)
-        bound = set(bound)
+        bound = dict.fromkeys(outer)
         self.levels = []
-        self.atoms = []
         while pos:
             stuck = []
             for i, atom in enumerate(pos):
-                binds, unready = set(bound), []
-                match = _match_fn(atom, binds, unready, source)
+                binds, unready = dict(bound), []
+                _bind_vars(atom.args, binds, unready)
                 if not unready:
                     break
                 stuck.append((binds, unready))
             else:
                 # name a variable that no remaining atom binds, if one is read
-                binders = bound.union(*[binds for binds, _ in stuck])
+                binders = set(bound).union(*[binds for binds, _ in stuck])
                 for _, unready in stuck:
                     _require_bound(unready, binders, source)
                 raise GroundingError("cannot order positive literals for grounding", source)
             del pos[i]
             bound = binds
             key = (atom.pred, atom.arity)
-            self.levels.append((key, match, key in dependent))
-            self.atoms.append(atom)
-        self.head = None if head is None else _atom_fn(head, bound, source)
-        self.negs = [((a.pred, a.arity) in dependent, _atom_fn(a, bound, source)) for a in neg]
-        self.cmps = [_cmp_fn(c, bound, source) for c in cmps]
-        self.bound = bound
+            self.levels.append((atom, key, key in dependent))
+        self.atoms = [atom for atom, _, _ in self.levels]
+        names = set(bound)
+        if head is not None:
+            _require_bound(head.args, names, source)
+        for atom in neg:
+            _require_bound(atom.args, names, source)
+        for cmp in cmps:
+            _require_bound((cmp.lhs, cmp.rhs), names, source)
+        self.negs = [(atom, (atom.pred, atom.arity) in dependent) for atom in neg]
+        self.cmps = cmps
+        self.head = head
+        self.outer = tuple(outer)
+        self.variables = tuple(bound)
+        self.source = source
 
-    def matches(self, index: _Index, binding: dict, mirror: tuple[int, int] | None = None):
-        """Yield once for every way the positive atoms match the index,
-        with `binding` extended in place and the matched atoms as a list in
-        level order. Both are reused: consume each result before the next.
-        Buckets are iterated live: an atom appended to a bucket while a
-        level walks it is still matched. With `mirror` = (i, j), level j
-        walks its bucket from the position of level i's match on, so only
-        the matches whose level-i atom comes no later than their level-j
-        atom are yielded (`_mirror`); the index must not grow meanwhile."""
-        levels = self.levels
-        if not levels:
-            yield []
-            return
-        last = len(levels) - 1
-        matched = [None] * len(levels)
-        buckets = index.by_pred
-        first, second = mirror or (None, None)
-        if mirror is not None:
-            position = {ga: p for p, ga in enumerate(buckets.get(levels[first][0], ()))}
-        iters = [iter(buckets.get(levels[0][0], ()))] + [None] * last
-        i = 0
-        while True:
-            match = levels[i][1]
-            for ga in iters[i]:
-                if match(ga.args, binding):
-                    matched[i] = ga
-                    break
-            else:
-                if i == 0:
-                    return
-                i -= 1
-                continue
-            if i == last:
-                yield matched
-            else:
-                i += 1
-                bucket = buckets.get(levels[i][0], ())
-                if i == second:
-                    iters[i] = itertools.islice(bucket, position[matched[first]], None)
+
+def _symbolic(source: str):
+    raise GroundingError("arithmetic over a symbolic constant", source)
+
+
+def _over_budget(source: str):
+    raise GroundingError(f"grounding exceeded the budget of {JOIN_BUDGET} atoms tried in one join", source)
+
+
+# loops nested in one generated function, below Python's limit of 20 blocks
+_NESTED_LOOPS = 16
+
+
+@functools.lru_cache(maxsize=256)
+def _factory(source: str):
+    """make(constants, statement source) -> the join function that
+    `source` defines, compiled once per source text. The function reads
+    this module's globals (GroundAtom, value_order_key, JOIN_BUDGET, ...)."""
+    namespace: dict = {}
+    exec(compile(source, "<join>", "exec"), globals(), namespace)
+    return namespace["make"]
+
+
+class _Join:
+    """The source of one plan's join function, written line by line, and
+    the constants it reads (see "Compiling statements into joins")."""
+
+    def __init__(self, plan: _Plan, generator: bool = False):
+        self.plan = plan
+        self.generator = generator
+        # (level, depth) of each function that later levels are nested in
+        self.deeper: list[tuple[int, int]] = []
+        # each bound variable's local, so far
+        self.names = {name: self.local(name) for name in plan.outer}
+        self.constants: list = []
+        self.temps = 0
+        self.lines: list[str] = []
+        self.depth = 2
+        # how an instance is dropped: inside the loops, or with no loops
+        self.reject = "continue" if plan.levels else "return"
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def local(self, name: str) -> str:
+        return f"v{self.plan.variables.index(name)}"
+
+    def constant(self, value) -> str:
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def term(self, term: Term) -> str:
+        """An expression for a term whose variables are all bound. Arithmetic
+        raises GroundingError on an operand that is not an integer."""
+        if isinstance(term, Num):
+            return self.constant(term.value)
+        if isinstance(term, Sym):
+            return self.constant(term.name)
+        if isinstance(term, Var):
+            return self.names[term.name]
+        if isinstance(term, Tup):
+            return self.display(self.term(t) for t in term.items)
+        if isinstance(term, Arith):
+            operands = []
+            for side in (term.lhs, term.rhs):
+                expr = self.term(side)
+                if not expr.isidentifier():
+                    name = self.temp()
+                    operands.append((name, f"({name} := {expr})"))
                 else:
-                    iters[i] = iter(bucket)
+                    operands.append((expr, expr))
+            (x, x_in), (y, y_in) = operands
+            return (f"({x} {term.op} {y} if isinstance({x_in}, int) and isinstance({y_in}, int)"
+                    " else _symbolic(source))")
+        raise TypeError(f"not a term: {term!r}")
+
+    @staticmethod
+    def display(items) -> str:
+        """A tuple display of the expressions `items`."""
+        items = list(items)
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def value(self, term: Term) -> str:
+        """A name holding the term's value, evaluated here."""
+        expr = self.term(term)
+        if expr.isidentifier():
+            return expr
+        name = self.temp()
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def atom(self, atom: Atom) -> str:
+        return f"GroundAtom({self.constant(atom.pred)}, {self.display(self.term(t) for t in atom.args)})"
+
+    @staticmethod
+    def compare(lhs: str, op: str, rhs: str, negated: bool) -> str:
+        if op in ("=", "=="):
+            test = f"{lhs} == {rhs}"
+        elif op == "!=":
+            test = f"{lhs} != {rhs}"
+        else:
+            test = f"value_order_key({lhs}) {op} value_order_key({rhs})"
+        return f"(not {test})" if negated else f"({test})"
+
+    def test(self, cmp: CmpLit) -> str:
+        lhs, rhs = cmp.lhs, cmp.rhs
+        if (cmp.op in ("=", "==", "!=") and isinstance(lhs, Tup) and isinstance(rhs, Tup)
+                and len(lhs.items) == len(rhs.items) > 0 and not _has_arith((lhs, rhs))):
+            # item by item, building neither tuple: nothing here can raise
+            ne = cmp.op == "!="
+            items = [self.compare(self.term(x), cmp.op, self.term(y), False) for x, y in zip(lhs.items, rhs.items)]
+            test = f"({' or '.join(items) if ne else ' and '.join(items)})"
+            return f"(not {test})" if cmp.negated else test
+        return self.compare(self.term(lhs), cmp.op, self.term(rhs), cmp.negated)
+
+    def match(self, patterns, values: str) -> None:
+        """Unpack `values`, a tuple the size of `patterns`, and test it
+        against them in order. A variable's first occurrence is unpacked
+        into its local; a later occurrence, a constant, arithmetic or a
+        tuple pattern into a temporary that is then tested."""
+        bound = dict.fromkeys(self.names)
+        targets, fresh, tests = [], [], []
+        for pattern in patterns:
+            if isinstance(pattern, Var) and pattern.name not in bound:
+                targets.append(self.local(pattern.name))
+                fresh.append(pattern.name)
+            elif isinstance(pattern, Anon):
+                targets.append("_")
+            else:
+                targets.append(self.temp())
+                tests.append((pattern, targets[-1]))
+            _bind_vars((pattern,), bound, [])
+        if any(target != "_" for target in targets):
+            self.emit(f"{', '.join(targets)}, = {values}")
+        self.names.update((name, self.local(name)) for name in fresh)
+        for pattern, name in tests:
+            if isinstance(pattern, Tup):
+                self.emit(f"if not isinstance({name}, tuple) or len({name}) != {len(pattern.items)}: {self.reject}")
+                self.match(pattern.items, name)
+            else:
+                self.emit(f"if {name} != {self.term(pattern)}: {self.reject}")
+
+    def loops(self, mirror: tuple[int, int] | None = None, ids: bool = False) -> None:
+        """One loop per level, each nested in the one before. Buckets are
+        walked live: an atom appended to a bucket while its loop runs is
+        still tried. With `mirror` = (i, j), level j walks its bucket from
+        the position of level i's atom on (`_mirror`); the index must not
+        grow meanwhile. With `ids`, each choice-dependent atom's id, or None,
+        is looked up at its level."""
+        for level, (atom, key, dep) in enumerate(self.plan.levels):
+            if level and level % _NESTED_LOOPS == 0:
+                # Python nests at most 20 blocks in one function: the
+                # levels from here on go in a function of their own
+                self.emit(f"def deeper{level}(tried):")
+                self.depth += 1
+                self.deeper.append((level, self.depth))
+            bucket = f"get({self.constant(key)}, ())"
+            if mirror and level == mirror[0]:
+                self.emit(f"for p{level}, a{level} in enumerate({bucket}):")
+            elif mirror and level == mirror[1]:
+                self.emit(f"for a{level} in itertools.islice({bucket}, p{mirror[0]}, None):")
+            else:
+                self.emit(f"for a{level} in {bucket}:")
+            self.depth += 1
+            self.emit("tried += 1")
+            self.emit("if tried > budget: _over_budget(source)")
+            if atom.args:
+                self.match(atom.args, f"a{level}.args")
+            if ids and dep:
+                self.emit(f"i{level} = id_get(a{level})")
+
+    def residue(self) -> tuple[list[str], list[str]]:
+        """Emit the checks of an instance over the possible atoms against
+        the base, in order: comparisons, independent positive atoms, then
+        negated atoms, which an independent one ends. Return the names of
+        the choice-dependent positive atoms and negated atoms, which stay.
+        Positive atoms matched from one index are equal only when they are
+        the same object."""
+        plan = self.plan
+        for cmp in plan.cmps:
+            self.emit(f"if not {self.test(cmp)}: {self.reject}")
+        pos = []
+        for level, (_, _, dep) in enumerate(plan.levels):
+            if dep:
+                pos.append(f"a{level}")
+            else:
+                self.emit(f"if a{level} not in base: {self.reject}")
+        neg = []
+        for atom, dep in plan.negs:
+            if dep:
+                neg.append(self.temp())
+                self.emit(f"{neg[-1]} = {self.atom(atom)}")
+            else:
+                self.emit(f"if {self.atom(atom)} in base: {self.reject}")
+        return pos, neg
+
+    def distinct(self, target: str, names: list[str], same: str) -> None:
+        """Emit `target` = the tuple of `names` in order, each dropped when
+        it is `same` as an earlier one."""
+        if len(names) < 2:
+            self.emit(f"{target} = {self.display(names)}")
+            return
+        self.emit(f"{target} = [{names[0]}]")
+        for k, name in enumerate(names[1:], 1):
+            unseen = " and ".join(f"{name} {same} {earlier}" for earlier in names[:k])
+            self.emit(f"if {unseen}: {target}.append({name})")
+        self.emit(f"{target} = tuple({target})")
+
+    def function(self, params: str, prologue: tuple[str, ...] = ()) -> Callable:
+        """The compiled join function, taking `params`."""
+        for level, depth in reversed(self.deeper):
+            self.depth = depth
+            self.emit("return tried")
+            self.depth -= 1
+            self.emit(f"tried = {'yield from ' if self.generator else ''}deeper{level}(tried)")
+        constants = "".join(f"k{i}, " for i in range(len(self.constants)))
+        lines = ["def make(K, source):"]
+        if constants:
+            lines.append(f"    {constants}= K")
+        lines.append(f"    def join({params}):")
+        lines += [f"        {line}" for line in ("get = by_pred.get", "budget = JOIN_BUDGET", "tried = 0", *prologue)]
+        lines += self.lines
+        lines.append("    return join")
+        return _factory("\n".join(lines) + "\n")(tuple(self.constants), self.plan.source)
+
+
+def _instances(plan: _Plan) -> Callable:
+    """join(by_pred, negative, init): a generator of the body's instances
+    over the index `by_pred` whose negated atoms are not in `negative`:
+    each one's head atom, or with no head, its values of plan.variables.
+    `init` holds the values of plan.outer."""
+    join = _Join(plan, generator=True)
+    join.loops()
+    for atom, _ in plan.negs:
+        join.emit(f"if {join.atom(atom)} in negative: {join.reject}")
+    for cmp in plan.cmps:
+        join.emit(f"if not {join.test(cmp)}: {join.reject}")
+    if plan.head is not None:
+        join.emit(f"yield {join.atom(plan.head)}")
+    else:
+        join.emit(f"yield {join.display(join.names[name] for name in plan.variables)}")
+    prologue = (f"{', '.join(join.local(name) for name in plan.outer)}, = init",) if plan.outer else ()
+    return join.function("by_pred, negative, init", prologue)
+
+
+def _rule_instances(plan: _Plan) -> Callable:
+    """join(by_pred, base, out): the rule's instances over the possible
+    atoms `by_pred` that can still fire, resolved against the base atoms:
+    each one's GroundRule, of its choice-dependent body atoms, added to
+    `out` under the key (head, pos, neg) unless it is there."""
+    join = _Join(plan)
+    join.loops()
+    pos, neg = join.residue()
+    join.distinct("pos", pos, "is not")
+    join.distinct("neg", neg, "!=")
+    join.emit(f"head = {join.atom(plan.head)}")
+    join.emit("key = (head, pos, neg)")
+    join.emit("if key not in out:")
+    join.emit("    out[key] = GroundRule(head, pos, neg, source)")
+    return join.function("by_pred, base, out")
+
+
+def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Callable:
+    """join(by_pred, base, id_of, out): a constraint's instances, or a
+    cardinality-equality head's instances whose count is off, over the
+    possible atoms `by_pred` that can still fire, resolved against the base
+    atoms: each one's GroundConstraint added to `out` under its dedup key
+    (`_dedup_key`) unless it is there. A symmetric statement joins one match
+    of each mirrored pair (`_mirror`)."""
+    elements = () if isinstance(stmt, Constraint) else stmt.elements
+    for el in elements:
+        _require_bound((el.lhs, el.rhs), set(plan.variables), plan.source)
+    dep = [level for level, (_, _, dependent) in enumerate(plan.levels) if dependent]
+    # with at most two choice-dependent positive atoms and no choice-dependent
+    # negated one, the dedup key is built here from ids looked up per level
+    inline = len(dep) <= 2 and not any(dependent for _, dependent in plan.negs)
+    join = _Join(plan)
+    join.loops(_mirror(stmt, plan), ids=inline)
+    pos, neg = join.residue()
+    if elements:
+        _count(join, stmt)
+    if not inline:
+        join.distinct("pos", pos, "is not")
+        join.distinct("neg", neg, "!=")
+        join.emit("key = _dedup_key(pos, neg, id_of)")
+    elif not dep:
+        join.emit("pos = neg = key = ()")
+    else:
+        join.emit("neg = ()")
+        a, i = f"a{dep[0]}", f"i{dep[0]}"
+        one = [f"pos = ({a},)", f"key = ({i},) if {i} is not None else (frozenset(pos), frozenset(neg))"]
+        if len(dep) == 1:
+            for line in one:
+                join.emit(line)
+        else:
+            b, j = f"a{dep[1]}", f"i{dep[1]}"
+            # the same atom at both levels is one positive atom
+            join.emit(f"if {b} is {a}:")
+            for line in one:
+                join.emit(f"    {line}")
+            join.emit("else:")
+            join.emit(f"    pos = ({a}, {b})")
+            join.emit(f"    key = ((frozenset(pos), frozenset(neg)) if {i} is None or {j} is None"
+                      f" else ({i}, {j}) if {i} < {j} else ({j}, {i}))")
+    join.emit("if key not in out:")
+    join.emit("    out[key] = GroundConstraint(pos, neg, source)")
+    return join.function("by_pred, base, id_of, out", ("id_get = id_of.get",))
+
+
+def _count(join: _Join, stmt: CardinalityRule) -> None:
+    """Emit the check that drops an instance with exactly stmt.count true
+    elements. Ground elements form a set: two element comparisons that
+    instantiate identically collapse to one, as in clingo, and the first
+    decides. Every element is evaluated, since a skipped one could be one
+    whose arithmetic raises; only where nothing can raise, with no
+    arithmetic and no negated element, does a count of 0 stop at the first
+    true element."""
+    elements = stmt.elements
+    if stmt.count == 0 and not any(el.negated for el in elements) and not _has_arith(
+            _literal_terms((*stmt.body, *elements))):
+        join.emit(f"if not ({' or '.join(join.test(el) for el in elements)}): {join.reject}")
+        return
+    sides, holds = [], []
+    for el in elements:
+        sides.append((join.value(el.lhs), join.value(el.rhs)))
+        holds.append(join.temp())
+        join.emit(f"{holds[-1]} = {join.compare(sides[-1][0], el.op, sides[-1][1], el.negated)}")
+    join.emit("n = 0")
+    for e, el in enumerate(elements):
+        counts = holds[e]
+        for d, earlier in enumerate(elements[:e]):
+            if earlier.op == el.op:
+                same = f"{sides[e][0]} == {sides[d][0]} and {sides[e][1]} == {sides[d][1]}"
+                # an earlier element's instance is in the set if it holds,
+                # or always if it can hide a later one: one with the same op
+                # and the other negation
+                hides = any(later.op == earlier.op and later.negated != earlier.negated
+                            for later in elements[d + 1:])
+                counts += f" and not ({same})" if hides else f" and not ({holds[d]} and {same})"
+        join.emit(f"if {counts}: n += 1")
+    join.emit(f"if n == {join.constant(stmt.count)}: {join.reject}")
 
 
 # --------------------------------------------------------------------------
@@ -514,8 +716,7 @@ def _mirror(stmt: Constraint | CardinalityRule, plan: _Plan) -> tuple[int, int] 
     negated atoms are evaluated only up to the first that decides, so
     arithmetic there could raise on a match and not on its mirror."""
     elements = () if isinstance(stmt, Constraint) else stmt.elements
-    terms = [t for lit in stmt.body for t in (lit.atom.args if isinstance(lit, AtomLit) else (lit.lhs, lit.rhs))]
-    if _has_arith(terms) or any(el.negated for el in elements):
+    if _has_arith(_literal_terms(stmt.body)) or any(el.negated for el in elements):
         return None
     body = Counter(_literal_form(lit, {}) for lit in stmt.body)
     cards = Counter(_element_form(el, {}) for el in elements)
@@ -531,6 +732,10 @@ def _mirror(stmt: Constraint | CardinalityRule, plan: _Plan) -> tuple[int, int] 
                     and Counter(_element_form(el, sigma) for el in elements) == cards):
                 return i, j
     return None
+
+
+def _literal_terms(literals) -> list[Term]:
+    return [t for lit in literals for t in (lit.atom.args if isinstance(lit, AtomLit) else (lit.lhs, lit.rhs))]
 
 
 def _has_arith(terms) -> bool:
@@ -659,21 +864,24 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
     # that everything grounded from them comes out in an order that does
     # not depend on hashing.
     facts: dict[GroundAtom, None] = {}
-    rules: list[tuple[Rule, _Plan]] = []
-    choice_plans: list[tuple[Choice, _Plan, list[_Plan]]] = []
+    # each rule with its join over an index and its join over the possible atoms
+    rules: list[tuple[Rule, Callable, Callable]] = []
+    choice_joins: list[tuple[Choice, Callable, list[Callable]]] = []
     for stmt in statements:
         source = stmt.source_text
         if isinstance(stmt, Fact):
-            facts[_atom_fn(stmt.atom, frozenset(), source)({})] = None
+            facts[next(_instances(_Plan((), dependent, source, head=stmt.atom))({}, (), ()))] = None
         elif isinstance(stmt, Rule):
-            rules.append((stmt, _Plan(stmt.body, dependent, source, head=stmt.head)))
+            plan = _Plan(stmt.body, dependent, source, head=stmt.head)
+            rules.append((stmt, _instances(plan), _rule_instances(plan)))
         else:
             body_plan = _Plan(stmt.body, dependent, source)
-            choice_plans.append((stmt, body_plan, [
-                _Plan(el.conditions, dependent, source, body_plan.bound, el.atom) for el in stmt.elements
+            choice_joins.append((stmt, _instances(body_plan), [
+                _instances(_Plan(el.conditions, dependent, source, body_plan.variables, el.atom))
+                for el in stmt.elements
             ]))
 
-    independent_rules = [(r, p) for r, p in rules if (r.head.pred, r.head.arity) not in dependent]
+    independent_rules = [rule for rule in rules if (rule[0].head.pred, rule[0].head.arity) not in dependent]
 
     # D0: the well-founded model of the facts and independent rules
     high = _least(facts, independent_rules, frozenset())
@@ -685,16 +893,15 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
 
     # Ground the choice rules; bodies and conditions must stay independent.
     choices: list[GroundChoice] = []
-    for stmt, body_plan, element_plans in choice_plans:
+    for stmt, body_join, element_joins in choice_joins:
         _require_independent(stmt.body, dependent, stmt.source_text)
         for el in stmt.elements:
             _require_independent(el.conditions, dependent, stmt.source_text)
-        for body_binding in _body_instantiations(body_plan, base, {}, base.atoms):
+        for values in body_join(base.by_pred, base.atoms, ()):
             candidates: list[GroundAtom] = []
             seen: set[GroundAtom] = set()
-            for el_plan in element_plans:
-                for el_binding in _body_instantiations(el_plan, base, body_binding, base.atoms):
-                    atom = el_plan.head(el_binding)
+            for element_join in element_joins:
+                for atom in element_join(base.by_pred, base.atoms, values):
                     if atom not in seen:
                         seen.add(atom)
                         candidates.append(atom)
@@ -706,16 +913,10 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
     possible = _least(seeds, rules, frozenset())
 
     # Ground definite rules over the possible atoms.
-    ground_rules: list[GroundRule] = []
-    seen_rules: set[tuple] = set()
-    for stmt, rule_plan in rules:
-        for binding, pos_dep, neg_dep in _residual_instances(rule_plan, possible, base):
-            head = rule_plan.head(binding)
-            key = (head, tuple(pos_dep), tuple(neg_dep))
-            if key in seen_rules:
-                continue
-            seen_rules.add(key)
-            ground_rules.append(GroundRule(head, tuple(pos_dep), tuple(neg_dep), stmt.source_text))
+    keyed_rules: dict[tuple, GroundRule] = {}
+    for _, _, residual_join in rules:
+        residual_join(possible.by_pred, base.atoms, keyed_rules)
+    ground_rules = list(keyed_rules.values())
 
     symbols = Symbols(facts, choices, ground_rules)
     program = GroundProgram(frozenset(facts), choices, ground_rules, [], frozenset(possible.atoms), symbols, ())
@@ -781,43 +982,10 @@ def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton)
     """A constraint's instances, or a cardinality-equality head's instances
     whose count is off, as ground constraints in order, each keyed by its
     dedup key (pos and neg as sets), so each pair of sets comes once."""
-    source = stmt.source_text
-    stmt_plan = _Plan(stmt.body, skeleton.dependent, source)
-    is_constraint = isinstance(stmt, Constraint)
-    elements = []
-    if not is_constraint:
-        for e, el in enumerate(stmt.elements):
-            _require_bound((el.lhs, el.rhs), stmt_plan.bound, source)
-            # a false element can hide a later true one only if that one
-            # instantiates alike, so has the same op, and is negated otherwise
-            hides = any(later.op == el.op and later.negated != el.negated for later in stmt.elements[e + 1:])
-            elements.append((_term_fn(el.lhs, source), el.op, _term_fn(el.rhs, source),
-                             _test_fn(el.op, el.negated), hides))
-    id_of = skeleton.program.symbols.id_of
+    plan = _Plan(stmt.body, skeleton.dependent, stmt.source_text)
     out: dict[tuple, GroundConstraint] = {}
-    mirror = _mirror(stmt, stmt_plan)
-    for binding, pos_dep, neg_dep in _residual_instances(stmt_plan, skeleton.possible, skeleton.base, mirror):
-        if not is_constraint:
-            # ground elements form a set: two element comparisons that
-            # instantiate identically collapse to one, as in clingo, and the
-            # first decides; only true ones and those that can hide a later
-            # one need remembering
-            seen_elements: set[tuple] = set()
-            true_count = 0
-            for lhs_fn, op, rhs_fn, test, hides in elements:
-                lhs = lhs_fn(binding)
-                rhs = rhs_fn(binding)
-                holds = test(lhs, rhs)
-                if holds or hides:
-                    key = (lhs, op, rhs)
-                    if key not in seen_elements:
-                        seen_elements.add(key)
-                        true_count += holds
-            if true_count == stmt.count:
-                continue
-        key = _dedup_key(pos_dep, neg_dep, id_of)
-        if key not in out:
-            out[key] = GroundConstraint(tuple(pos_dep), tuple(neg_dep), source)
+    _constraint_instances(stmt, plan)(skeleton.possible.by_pred, skeleton.base.atoms,
+                                      skeleton.program.symbols.id_of, out)
     return out
 
 
@@ -847,71 +1015,18 @@ def _require_independent(body: tuple[Literal, ...], dependent: set[tuple[str, in
             )
 
 
-def _body_instantiations(plan: _Plan, index: _Index, initial: dict, negative_against):
-    """All bindings extending `initial` whose positive atoms are in `index`
-    and whose negated atoms are not in `negative_against`."""
-    binding = dict(initial)
-    for _ in plan.matches(index, binding):
-        if any(neg(binding) in negative_against for _, neg in plan.negs):
-            continue
-        if not all(cmp(binding) for cmp in plan.cmps):
-            continue
-        yield dict(binding)
-
-
-def _residual_instances(plan: _Plan, possible: _Index, base: _Index, mirror: tuple[int, int] | None = None):
-    """Instantiate a body over the possible atoms, resolving independent
-    literals against the deterministic base. Yields (binding, pos_residue,
-    neg_residue) for instances that can still fire in some model; the
-    binding is reused, so consume it before the next instance. `mirror`
-    restricts the join as `_Plan.matches` says."""
-    levels = plan.levels
-    cmps = plan.cmps
-    negs = plan.negs
-    base_atoms = base.atoms
-    binding: dict[str, GroundValue] = {}
-    for matched in plan.matches(possible, binding, mirror):
-        for cmp in cmps:
-            if not cmp(binding):
-                break
-        else:
-            pos_dep: list[GroundAtom] = []
-            for (_, _, dep), ga in zip(levels, matched):
-                if dep:
-                    # atoms matched from one index are equal only when
-                    # they are the same object
-                    for seen in pos_dep:
-                        if seen is ga:
-                            break
-                    else:
-                        pos_dep.append(ga)
-                elif ga not in base_atoms:
-                    break  # independent atom that can never be true
-            else:
-                neg_dep: list[GroundAtom] = []
-                for dep, neg in negs:
-                    ga = neg(binding)
-                    if dep:
-                        if ga not in neg_dep:
-                            neg_dep.append(ga)
-                    elif ga in base_atoms:
-                        break  # negated independent atom that is always true
-                else:
-                    yield binding, pos_dep, neg_dep
-
-
-def _least(seeds, rules: list[tuple[Rule, _Plan]], negative_against) -> _Index:
+def _least(seeds, rules: list[tuple[Rule, Callable, Callable]], negative_against) -> _Index:
     """The least model of `seeds` and the reduct of `rules`, each with its
-    plan, by `negative_against`, forward-chained to a fixpoint."""
+    joins, by `negative_against`, forward-chained to a fixpoint."""
     index = _Index()
     for atom in seeds:
         index.add(atom)
     changed = True
     while changed:
         changed = False
-        for rule, rule_plan in rules:
-            for binding in _body_instantiations(rule_plan, index, {}, negative_against):
-                if index.add(rule_plan.head(binding)):
+        for rule, derive, _ in rules:
+            for head in derive(index.by_pred, negative_against, ()):
+                if index.add(head):
                     changed = True
                     if len(index.atoms) > GROUND_ATOM_BUDGET:
                         message = f"grounding exceeded the budget of {GROUND_ATOM_BUDGET} ground atoms"

@@ -1,4 +1,5 @@
-"""The grounder's symmetric statements and constraint routes.
+"""The grounder's symmetric statements, constraint routes and generated
+join source.
 
 A constraint statement that a swap of its variables maps onto itself joins
 only one match of each mirrored pair (`ground._mirror`). These tests pin
@@ -10,7 +11,9 @@ a literal added that holds on every binding but breaks the symmetry.
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
+import tokenize
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,13 +239,15 @@ def test_a_symmetric_statement_grounds_as_its_full_join(case):
 
 def reference_count(elements, binding):
     """True elements, counting elements that instantiate alike once: the
-    first of them decides, whether negated or not."""
+    first of them decides, whether negated or not. Values are integers."""
     seen, count = set(), 0
     for lhs, op, rhs, negated in elements:
         key = (binding.get(lhs, lhs), op, binding.get(rhs, rhs))
         if key not in seen:
             seen.add(key)
-            count += ground._test_fn(op, negated)(key[0], key[2])
+            lhs, rhs = key[0], key[2]
+            holds = {"=": lhs == rhs, "==": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs}[op]
+            count += holds != negated
     return count
 
 
@@ -333,3 +338,62 @@ def test_routes_from_dedup_keys_match_routing_atom_by_atom(text):
 def test_puzzle_routes_match_routing_atom_by_atom():
     for instance in ("tattoo_parlor", "event_planning"):
         assert_routes_match_the_reference(fixtures.reference_blocks(instance).full_program)
+
+
+# --------------------------------------------------------------------------
+# Generated join source holds no program text
+
+def generated_sources(monkeypatch, text):
+    """The source of every join function that grounding `text` compiles
+    from a cold skeleton, in order."""
+    sources = []
+    factory = ground._factory
+
+    def recording(source):
+        sources.append(source)
+        return factory(source)
+
+    monkeypatch.setattr(ground, "_factory", recording)
+    ground._ground_skeleton.cache_clear()
+    ground_program(statements(text))
+    monkeypatch.undo()
+    return sources
+
+
+def identifiers(text):
+    return {tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline) if tok.type == tokenize.NAME}
+
+
+# one shape in two spellings: a fact with arithmetic, a pooled fact, a rule
+# with a tuple and a negated atom, a choice with element conditions and a
+# body, a cardinality head with arithmetic and a plain constraint
+SHAPES = (
+    "f(1 + 2). g(3; 4). h(X, (X, 5)) :- g(X), not k(X). {c(X, Y) : g(Y), X != Y} 1 :- g(X). "
+    "{X = Y; X + 1 = Y} = 1 :- c(X, Y), h(X, _). :- c(X, Y), c(Y, X), X < Y.",
+    "fact(7 + 8). gen(10; 20). hold(Z, (Z, six)) :- gen(Z), not knot(Z). {choose(Z, W) : gen(W), Z != W} 1 "
+    ":- gen(Z). {Z = W; Z + 1 = W} = 1 :- choose(Z, W), hold(Z, _). :- choose(Z, W), choose(W, Z), Z < W.",
+)
+
+
+def test_statements_of_one_shape_share_their_join_source(monkeypatch):
+    first, second = (generated_sources(monkeypatch, text) for text in SHAPES)
+    assert len(first) == 9
+    assert first == second
+    # the pairwise rules of two puzzle bases, and two clues of one shape
+    bases = [generated_sources(monkeypatch, fixtures.reference_blocks(instance).base)
+             for instance in ("tattoo_parlor", "harbor_cruises")]
+    assert bases[0][-1] == bases[1][-1]
+    blocks = fixtures.reference_blocks("tattoo_parlor")
+    clues = [stmt.source_text for hint in blocks.hints for stmt in statements(hint)
+             if stmt.source_text.startswith(("{ Co1 = pink", "{ Co1 = violet"))]
+    assert len(clues) == 2
+    pink, violet = (generated_sources(monkeypatch, f"{blocks.base}\n\n{clue}")[-1] for clue in clues)
+    assert pink == violet
+
+
+def test_join_source_holds_no_program_identifier(monkeypatch):
+    for text in (*SHAPES, fixtures.reference_blocks("tattoo_parlor").full_program):
+        # `_` and `not` are the syntax of both languages
+        program = identifiers(text) - {"_", "not"}
+        for source in generated_sources(monkeypatch, text):
+            assert not program & identifiers(source), source

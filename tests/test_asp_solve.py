@@ -235,6 +235,16 @@ def test_compiled_join_shapes(text, pred, expected):
     assert shown == expected
 
 
+def test_a_body_longer_than_python_nests_loops():
+    # Python nests at most 20 blocks in a function: a 25-atom rule body and a
+    # 21-atom constraint body each join in more than one generated function
+    facts = " ".join(f"e({i},{i + 1})." for i in range(30))
+    path = ", ".join(f"e(X{i}, X{i + 1})" for i in range(25))
+    text = f"{facts} h(X0, X25) :- {path}. {{c(X) : e(X, _)}} 1. :- {', '.join(['c(X)'] * 20)}, h(X, _)."
+    assert [c.pos for c in grounded(text).constraints] == [(parse_ground_atom(f"c({i})"),) for i in range(6)]
+    assert len(models_of(text)) == 25
+
+
 def run_script(script, **env):
     """The standard output of `script` run by a fresh interpreter on this
     checkout's asploop, with `env` added to the environment."""
@@ -274,6 +284,23 @@ def test_ground_atom_budget_stops_an_unbounded_program():
     assert output.startswith("True ")
     assert "grounding exceeded the budget of 100000 ground atoms" in output
     assert "n ( X + 1 ) :- n ( X )" in output
+
+
+def test_join_budget_stops_a_large_join():
+    # 60^4 bindings: without the budget, grounding runs for minutes
+    script = (
+        "import time\n"
+        "from asploop.gateway import SolverGateway\n"
+        "start = time.perf_counter()\n"
+        f"verdict = SolverGateway().solve('p({';'.join(map(str, range(1, 61)))}).\\n'\n"
+        "                               ':- p(X), p(Y), p(Z), p(W), X + Y + Z + W < 0.')\n"
+        "print(time.perf_counter() - start)\n"
+        "print(verdict.has_error, verdict.diagnostics)\n"
+    )
+    elapsed, output = run_script(script).split("\n", 1)
+    assert float(elapsed) < 5
+    assert output.startswith("True ")
+    assert "grounding exceeded the budget of 1000000 atoms tried in one join" in output
 
 
 # --------------------------------------------------------------------------
