@@ -141,7 +141,7 @@ class Symbols:
     rule atoms are interned; any other atom is false in every model. Ids
     follow `ground_atom_key` order, so sorting ids sorts their atoms."""
 
-    __slots__ = ("atom_of", "id_of", "fact_ids", "groups", "slots", "rules", "derivable")
+    __slots__ = ("atom_of", "id_of", "fact_ids", "groups", "rules", "derivable")
 
     def __init__(self, facts, choices: list[GroundChoice], rules: list[GroundRule]):
         atoms = dict.fromkeys(itertools.chain(
@@ -150,11 +150,6 @@ class Symbols:
         id_of = self.id_of = {atom: i for i, atom in enumerate(self.atom_of)}
         self.fact_ids = frozenset(id_of[a] for a in facts)
         self.groups = [(ch.lower, ch.upper, tuple(id_of[c] for c in ch.candidates)) for ch in choices]
-        # where each candidate sits: (group, bit of its position) pairs
-        self.slots: dict[int, list[tuple[int, int]]] = {}
-        for g, (_, _, cands) in enumerate(self.groups):
-            for p, c in enumerate(cands):
-                self.slots.setdefault(c, []).append((g, 1 << p))
         self.rules = [
             (id_of[r.head], tuple(id_of[a] for a in r.pos), tuple(id_of[a] for a in r.neg))
             for r in rules
@@ -171,13 +166,12 @@ class Route:
     empty fails every model (`always_violated`). One or two atoms that only
     a selection makes true prune during search: a dead candidate
     (`forbidden`) or a forbidden pair (`partners`: for an atom id, the
-    positions each choice group keeps open once that atom is chosen, one
-    int bitmask per group, with its partners' bits cleared). The rest is
+    int bitmask of the atom ids it cannot be true with). The rest is
     checked on complete models (`deferred`)."""
 
     always_violated: bool
     forbidden: frozenset[int]
-    partners: dict[int, tuple[int, ...]]
+    partners: dict[int, int]
     deferred: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
@@ -939,7 +933,7 @@ def _route(keyed: dict[tuple, GroundConstraint], symbols: Symbols) -> Route:
     derivable = symbols.derivable
     always_violated = False
     forbidden: set[int] = set()
-    partners: dict[int, set[int]] = {}
+    partners: dict[int, int] = {}
     deferred: list[tuple[frozenset[int], frozenset[int]]] = []
     for key, cons in keyed.items():
         if key and isinstance(key[0], frozenset):
@@ -965,17 +959,9 @@ def _route(keyed: dict[tuple, GroundConstraint], symbols: Symbols) -> Route:
             forbidden.add(pos[0])
         else:
             a, b = pos
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-    slots = symbols.slots
-    keep: dict[int, tuple[int, ...]] = {}
-    for a, bs in partners.items():
-        cleared = [0] * len(symbols.groups)
-        for b in bs:
-            for g, bit in slots.get(b, ()):
-                cleared[g] |= bit
-        keep[a] = tuple(~m for m in cleared)
-    return Route(always_violated, frozenset(forbidden), keep, tuple(deferred))
+            partners[a] = partners.get(a, 0) | 1 << b
+            partners[b] = partners.get(b, 0) | 1 << a
+    return Route(always_violated, frozenset(forbidden), partners, tuple(deferred))
 
 
 def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton) -> dict[tuple, GroundConstraint]:

@@ -5,10 +5,10 @@ read. `enumerate_models` is the production path. It works on the
 skeleton's atoms interned to ints (`gp.symbols`) and merges the routes the
 grounder compiled once per constraint statement (`gp.routes`): pruning
 during search, or a check on complete models. The search is forward
-checking (Haralick & Elliott, AIJ 1980) over int bitsets: each choice
-group's domain is an int over its candidate positions, choosing a
+checking (Haralick & Elliott, AIJ 1980) over int bitmasks of atom ids:
+each choice group's domain is the mask of its open candidates, choosing a
 candidate clears its pair partners from every later group's domain, and a
-later group left with fewer open positions than its lower bound prunes the
+later group left with fewer open candidates than its lower bound prunes the
 branch. Groups are taken in order, selections by size and then
 lexicographically, so models are found in the order of a plain
 backtracking walk over the groups, minus subtrees that hold no full
@@ -124,14 +124,12 @@ class Models(Sequence):
 
 @dataclass
 class _Search:
-    """One solve's tables over the skeleton's atom ids and each choice
-    group's candidate positions, and the forward-checking search over them."""
+    """One solve's tables over the skeleton's atom ids, and the
+    forward-checking search over them."""
 
     groups: list[tuple[int, int | None, int]]  # (lower, upper, candidates' atom-id mask)
-    domains: list[int]  # each group's open positions: dead candidates closed
-    bits: list[list[int]]  # [g][p]: the atom-id bit of group g's candidate p
-    within: list[list[int]]  # [g][p]: the positions of g that p leaves open
-    keep: list[list[tuple[int, ...]]]  # [g][p]: the positions p leaves open in each later group
+    domains: list[int]  # each group's open candidates: dead candidates cleared
+    allowed: list[int]  # [id]: the atom ids left open once that atom is chosen
     later_lowers: list[list[int]]  # [g]: the lower bounds of the groups after g
     atom_of: list[GroundAtom]
     facts: int
@@ -146,10 +144,7 @@ class _Search:
     def run(self, cap: int) -> tuple[Models, bool]:
         self.cap, self.budget = cap, NODE_BUDGET
         self.node()  # the root
-        if self.groups:
-            exhausted = self.descend(0, self.domains, self.facts)
-        else:
-            exhausted = self.leaf(self.facts)
+        exhausted = self.descend(0, self.domains, self.facts) if self.groups else self.leaf(self.facts)
         return Models(self.atom_of, list(self.found)), exhausted
 
     def node(self) -> None:
@@ -158,47 +153,47 @@ class _Search:
         self.budget -= 1
 
     def descend(self, level: int, domains: list[int], model: int) -> bool:
-        """Try each selection of group `level` from its open positions,
+        """Try each selection of group `level` from its open candidates,
         domains[0]; domains[1:] are the later groups'. `model` holds the
         facts and the earlier groups' selections. Returns False once cap+1
         models are found."""
         later, later_lowers = domains[1:], self.later_lowers[level]
         last = not later
-        for kept, chosen in self.selections(level, _ids(domains[0])):
+        for chosen, kept in self.selections(level, _ids(domains[0])):
             self.node()
             if last:
                 if not self.leaf(model | chosen):
                     return False
                 continue
-            rest = list(map(int.__and__, later, kept))
+            rest = list(map(kept.__and__, later))
             if any(map(int.__lt__, map(int.bit_count, rest), later_lowers)):
                 continue
             if not self.descend(level + 1, rest, model | chosen):
                 return False
         return True
 
-    def selections(self, level: int, positions: list[int]):
-        """Group `level`'s selections from its open `positions` with no pair
-        inside, by size and then lexicographically, each as the positions it
-        leaves open in each later group and the atom-id bits it chooses."""
+    def selections(self, level: int, ids: list[int]):
+        """Group `level`'s selections from its open candidate `ids` with no
+        pair inside, by size and then lexicographically, each as the atom-id
+        bits it chooses and the atom ids it leaves open."""
         lower, upper, _ = self.groups[level]
-        keep, bits = self.keep[level], self.bits[level]
+        allowed = self.allowed
         if lower == upper == 1:
-            return zip(map(keep.__getitem__, positions), map(bits.__getitem__, positions))
-        return self._selections(level, lower, upper, positions)
+            return ((1 << c, allowed[c]) for c in ids)
+        return self._selections(lower, upper, ids)
 
-    def _selections(self, level, lower, upper, positions):
-        keep, bits, within = self.keep[level], self.bits[level], self.within[level]
-        hi = len(positions) if upper is None else min(upper, len(positions))
+    def _selections(self, lower, upper, ids):
+        allowed = self.allowed
+        hi = len(ids) if upper is None else min(upper, len(ids))
         for size in range(lower, hi + 1):
-            for sel in itertools.combinations(positions, size):
-                chosen = sum(1 << p for p in sel)
-                if any(within[p] & chosen != chosen for p in sel):
+            for sel in itertools.combinations(ids, size):
+                chosen, kept = 0, -1
+                for c in sel:
+                    chosen |= 1 << c
+                    kept &= allowed[c]
+                if kept & chosen != chosen:
                     continue  # two partners in one selection
-                kept = (-1,) * len(self.later_lowers[level])
-                for p in sel:
-                    kept = tuple(map(int.__and__, kept, keep[p]))
-                yield kept, sum(bits[p] for p in sel)
+                yield chosen, kept
 
     def leaf(self, base: int) -> bool:
         """Close facts plus a full selection under the rules, check what
@@ -230,29 +225,16 @@ def _search(gp: GroundProgram) -> _Search:
     symbols = gp.symbols
     forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
     live = [c for _, _, cands in symbols.groups for c in cands if c not in forbidden]
-    tables = [route.partners for route in gp.routes if route.partners]
-    n = len(symbols.groups)
-    groups, domains, bits, within, keep = [], [], [], [], []
-    for g, (lower, upper, cands) in enumerate(symbols.groups):
-        groups.append((lower, upper, sum(1 << c for c in cands)))
-        domains.append(sum(1 << p for p, c in enumerate(cands) if c not in forbidden))
-        bits.append([1 << c for c in cands])
-        rows = []
-        for c in cands:
-            row = (-1,) * (n - g)
-            for table in tables:
-                if (kept := table.get(c)) is not None:
-                    row = tuple(map(int.__and__, row, kept[g:]))
-            rows.append(row)
-        within.append([row[0] for row in rows])
-        keep.append([row[1:] for row in rows])
+    allowed = [-1] * len(symbols.atom_of)
+    for route in gp.routes:
+        for a, partners in route.partners.items():
+            allowed[a] &= ~partners
+    groups = [(lower, upper, sum(1 << c for c in cands)) for lower, upper, cands in symbols.groups]
     return _Search(
         groups=groups,
-        domains=domains,
-        bits=bits,
-        within=within,
-        keep=keep,
-        later_lowers=[[lower for lower, _, _ in groups[g + 1:]] for g in range(n)],
+        domains=[sum(1 << c for c in cands if c not in forbidden) for _, _, cands in symbols.groups],
+        allowed=allowed,
+        later_lowers=[[lower for lower, _, _ in groups[g + 1:]] for g in range(len(groups))],
         atom_of=symbols.atom_of,
         facts=sum(1 << i for i in symbols.fact_ids),
         rules=[(1 << head, sum(1 << p for p in pos), sum(1 << q for q in neg))

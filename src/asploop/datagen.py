@@ -74,6 +74,8 @@ class DfsConfig:
             raise ValueError("n_samples must be at least 1")
         if self.max_chosen_branch < 0:
             raise ValueError("max_chosen_branch must be non-negative")
+        if self.cap is not None and self.cap < 0:
+            raise ValueError("cap must be non-negative")
 
 
 def classification_cap(instance: PuzzleInstance, cap: int | None) -> int:

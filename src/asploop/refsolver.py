@@ -5,7 +5,8 @@ so driving it as an external solver cross-checks the two engines. Usage:
 
     asploop-refsolver FILE [MAX_MODELS]
 
-MAX_MODELS limits how many models are printed (0 means all, like clingo).
+MAX_MODELS limits how many models are printed (0 means all, like clingo;
+a negative count is an error).
 Exit status follows the clasp convention: 10 satisfiable, 20 unsatisfiable,
 30 satisfiable with the search exhausted, 65 on any error.
 """
@@ -41,6 +42,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("file", type=Path)
     parser.add_argument("max_models", nargs="?", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.max_models < 0:
+        return _fail(f"MAX_MODELS must be non-negative, got {args.max_models}")
 
     try:
         text = args.file.read_text(encoding="utf-8")

@@ -48,6 +48,8 @@ class SearchConfig:
             raise ValueError("regen_multiplier must be at least 1")
         if self.backtrack_limit < 0:
             raise ValueError("backtrack_limit must be non-negative")
+        if self.cap is not None and self.cap < 0:
+            raise ValueError("cap must be non-negative")
 
 
 @dataclass

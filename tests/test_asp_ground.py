@@ -297,14 +297,8 @@ def reference_route(constraints, symbols):
             a, b = pos
             partners.setdefault(a, set()).add(b)
             partners.setdefault(b, set()).add(a)
-    keep = {}
-    for a, bs in partners.items():
-        cleared = [0] * len(symbols.groups)
-        for b in bs:
-            for g, bit in symbols.slots.get(b, ()):
-                cleared[g] |= bit
-        keep[a] = tuple(~m for m in cleared)
-    return always_violated, forbidden, keep, deferred
+    masks = {a: sum(1 << b for b in bs) for a, bs in partners.items()}
+    return always_violated, forbidden, masks, deferred
 
 
 def assert_routes_match_the_reference(text):

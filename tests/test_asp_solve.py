@@ -724,10 +724,13 @@ def test_adding_constraints_never_adds_models(extra):
 
 
 # Random tiny programs: facts over at most three constants, one or two choice
-# rules with random bounds, two rules in random order and up to three
-# constraints. Rule bodies may negate choice atoms and rule heads alike; a
-# rule negating a head that a later rule derives is what a closure checking
-# negation against a half-built model gets wrong.
+# rules with random bounds, two rules in random order, up to three
+# constraints and up to one constraint over a pair of choice atoms. Rule
+# bodies may negate choice atoms and rule heads alike; a rule negating a head
+# that a later rule derives is what a closure checking negation against a
+# half-built model gets wrong. A pair over one choice predicate forbids two
+# candidates of one group together, which a group selecting more than one
+# candidate must check inside its own selection.
 CONSTANTS = ["a", "b", "c"]
 CHOICE_PREDS = ["c1", "c2"]
 RULE_HEADS = ["h1", "h2"]
@@ -754,6 +757,9 @@ def tiny_programs(draw):
     for _ in range(draw(st.integers(0, 3))):
         body = draw(st.lists(literal(["d", *CHOICE_PREDS, *RULE_HEADS], []), min_size=1, max_size=3))
         lines.append(f":- d(X), {', '.join(body)}.")
+    for _ in range(draw(st.integers(0, 1))):
+        first, second = draw(st.lists(st.sampled_from(CHOICE_PREDS), min_size=2, max_size=2))
+        lines.append(f":- d(X), d(Y), {first}(X), {second}(Y), X < Y.")
     return "\n".join(lines)
 
 

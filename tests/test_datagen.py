@@ -207,6 +207,12 @@ def test_target_predicate_inference():
     assert target_predicate_for("p(a). q(X) :- p(X).") is None
 
 
+def test_config_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        DfsConfig(cap=-1)
+    assert DfsConfig(cap=0).cap == 0
+
+
 def test_preference_record_rejects_equal_texts():
     with pytest.raises(ValueError):
         PreferenceRecord("p", "same", "same", "i", 0, "")

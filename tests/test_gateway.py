@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from asploop import gateway as gateway_mod
+from asploop import refsolver
 from asploop.asp import parse_program, render_ground_atom
 from asploop.asp.parser import _parse_block
 from asploop.gateway import (
@@ -243,3 +244,12 @@ def test_verdict_flag_names_the_one_flag_set():
     # a negative cap is invalid input; a program without models is unsat
     # under any cap, never cap-exceeded with zero models
     assert gateway.solve(UNSAT, cap=-1).flag == "unsat"
+
+
+def test_refsolver_rejects_a_negative_model_count(tmp_path, capsys):
+    path = tmp_path / "many.lp"
+    path.write_text(MANY, encoding="utf-8")
+    assert refsolver.main([str(path), "-1"]) == refsolver.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MAX_MODELS must be non-negative, got -1\n"

@@ -221,3 +221,9 @@ def test_mismatched_lengths_are_rejected(gateway):
     instance = fixtures.puzzle("event_planning")
     with pytest.raises(ValueError):
         evaluate_accuracy([], [instance])
+
+
+def test_config_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        SearchConfig(cap=-1)
+    assert SearchConfig(cap=0).cap == 0
