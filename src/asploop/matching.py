@@ -6,17 +6,23 @@ surface forms drift further (dropped honorifics, abbreviations), a
 Levenshtein pass matches every ground-truth item to its closest computed
 item and accepts iff the induced row map is a permutation.
 
-What both stages need of the ground truth is fixed per instance: a
-`GroundTruth` holds the raw rows, the normalized row set of every column
-order, and a per-instance closeness table with each (ground-truth item,
-model item) pair's edit distance and containment, computed when first seen.
-The models of one instance's programs share a small vocabulary, so datagen
-builds one `GroundTruth` per `run_dfs` and passes it to every
-`match_solution` call; nothing here caches across calls.
+The models of one instance's programs share a small vocabulary: the same
+atoms, and so the same items, recur from model to model. A `GroundTruth`
+holds what both stages need of the ground truth (the raw rows, and the
+normalized row set of every column order) and what recurs in the models:
+each atom's surface row, rendered when the atom is first met, and a ranked
+vocabulary. That is, for each ground-truth item, the model items met so far
+sorted by (edit distance, not-contained, item); each pair's distance is
+computed once, when the model item is first met. A model is then matched in
+one pass: each ground-truth item walks its ranking only to the first tier
+that holds an item of the model. Datagen builds one `GroundTruth` per
+`run_dfs` and passes it to every `match_solution` call; nothing else here
+caches across calls.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -72,48 +78,94 @@ class MatchReport:
     diagnostics: list[str] = field(default_factory=list)
 
 
+class Vocabulary:
+    """The model items met so far, ranked for each item of one ground truth.
+
+    `rankings[gt_item]` lists every item in `met` as (edit distance,
+    0 if one string contains the other else 1, item), sorted.
+    """
+
+    __slots__ = ("met", "rankings")
+
+    def __init__(self, gt_rows: list[tuple[str, ...]]):
+        self.met: set[str] = set()
+        self.rankings: dict[str, list[tuple[int, int, str]]] = {
+            gt_item: [] for row in gt_rows for gt_item in row
+        }
+
+    def meet(self, model_items) -> None:
+        """Rank each model item not met before, one distance per
+        ground-truth item."""
+        for model_item in model_items - self.met:
+            self.met.add(model_item)
+            for gt_item, ranking in self.rankings.items():
+                contained = gt_item in model_item or model_item in gt_item
+                insort(
+                    ranking,
+                    (edit_distance(gt_item, model_item), 0 if contained else 1, model_item),
+                )
+
+
+def _closest_row(ranking: list[tuple[int, int, str]], lowest: dict[str, int]) -> int:
+    """The lowest row among the model's items in the first (distance,
+    not-contained) tier of `ranking` that holds one of them."""
+    tier = best = None
+    for distance, loose, item in ranking:
+        j = lowest.get(item)
+        if j is None:
+            continue
+        if best is None:
+            tier, best = (distance, loose), j
+        elif (distance, loose) != tier:
+            break
+        elif j < best:
+            best = j
+    return best
+
+
 def levenshtein_match(
     gt_rows: list[tuple[str, ...]],
     model_rows: list[tuple[str, ...]],
-    closeness: dict[tuple[str, str], tuple[int, int]] | None = None,
+    vocabularies: dict[tuple[tuple[str, ...], ...], Vocabulary] | None = None,
 ) -> MatchReport:
     """Match ground-truth rows to model rows by per-item edit distance.
 
-    Every ground-truth item is compared against every item of every model
-    row; the cell records (gt_row, model_row) for the closest item. Among
-    equal distances a pair where one string contains the other wins, then
-    the lowest model row. The match holds iff each ground-truth row's cells
-    agree on a single model row and no model row is claimed twice. Model
-    rows without a single item match nothing.
+    Each ground-truth item's cell records (gt_row, model_row) for the
+    closest item of any model row. Among equal distances a pair where one
+    string contains the other wins, then the lowest model row. The match
+    holds iff each ground-truth row's cells agree on a single model row and
+    no model row is claimed twice. Model rows without a single item match
+    nothing.
 
-    `closeness` maps (gt_item, model_item) to (distance, not-contained); a
-    pair missing from it is computed and added. Pass the same dict to
-    calls over one ground truth to compute each pair once (see
-    `GroundTruth`); without one, the pairs are computed for this call.
+    The closest item is read from the ground truth's `Vocabulary`: the
+    first tier of the item's ranking that holds an item of the model, and
+    the lowest row holding one in that tier. `vocabularies` maps ground-
+    truth rows (as a tuple) to their vocabulary, which is built or extended
+    with the model's items. Pass the same dict to calls over one ground
+    truth to compute each pair's distance once (see `GroundTruth`); without
+    one, the items are ranked for this call.
     """
-    items = [(j, item) for j, row in enumerate(model_rows, start=1) for item in row]
-    if not items:
+    lowest: dict[str, int] = {}  # model item -> the lowest row holding it
+    for j, row in enumerate(model_rows, start=1):
+        for item in row:
+            lowest.setdefault(item, j)
+    if not lowest:
         return MatchReport(
             matched=False, method="levenshtein", diagnostics=["model rows have no items"]
         )
-    if closeness is None:
-        closeness = {}
+    if vocabularies is None:
+        vocabularies = {}
+    key = tuple(gt_rows)
+    vocabulary = vocabularies.get(key)
+    if vocabulary is None:
+        vocabulary = vocabularies[key] = Vocabulary(gt_rows)
+    vocabulary.meet(lowest.keys())
+    rankings = vocabulary.rankings
 
-    matrix: list[list[tuple[int, int]]] = []
-    for i, row in enumerate(gt_rows, start=1):
-        cells = []
-        for gt_item in row:
-            keys = []  # (distance, not-contained, row) per model item
-            for j, model_item in items:
-                pair = (gt_item, model_item)
-                close = closeness.get(pair)
-                if close is None:
-                    contained = gt_item in model_item or model_item in gt_item
-                    close = edit_distance(gt_item, model_item), 0 if contained else 1
-                    closeness[pair] = close
-                keys.append((*close, j))
-            cells.append((i, min(keys)[2]))
-        matrix.append(cells)
+    matrix = [
+        [(i, _closest_row(rankings[gt_item], lowest)) for gt_item in row]
+        for i, row in enumerate(gt_rows, start=1)
+    ]
 
     assignment: dict[int, int] = {}
     ok = True
@@ -133,11 +185,20 @@ def levenshtein_match(
     return report
 
 
-def _model_rows(model, predicate: str) -> list[tuple[str, ...]]:
-    """The predicate's atoms as rows of argument surfaces, sorted."""
-    return sorted(
-        tuple(_value_surface(v) for v in atom.args) for atom in model if atom.pred == predicate
-    )
+def _model_rows(
+    model, predicate: str, surfaces: dict[GroundAtom, tuple[str, ...]]
+) -> list[tuple[str, ...]]:
+    """The predicate's atoms as rows of argument surfaces, sorted.
+    `surfaces` caches each atom's row."""
+    rows = []
+    for atom in model:
+        if atom.pred == predicate:
+            row = surfaces.get(atom)
+            if row is None:
+                row = surfaces[atom] = tuple(_value_surface(v) for v in atom.args)
+            rows.append(row)
+    rows.sort()
+    return rows
 
 
 class GroundTruth:
@@ -147,10 +208,13 @@ class GroundTruth:
     `rows` are the solution rows as strings, for the Levenshtein stage.
     `exact` maps the normalized ground truth's row set under each column
     order to its rows in that order; when two orders give one set, the
-    first in `permutations` order keeps it. `closeness` is the Levenshtein
-    stage's (gt_item, model_item) table, filled as pairs are first seen.
-    It grows with the distinct model items met, so a `GroundTruth` should
-    live as long as one batch of matching, not longer.
+    first in `permutations` order keeps it. `surfaces` caches each model
+    atom's row of argument surfaces, rendered when the atom is first met.
+    `vocabularies` holds the Levenshtein stage's `Vocabulary` of `rows`:
+    for each ground-truth item, the model items met so far, ranked by
+    (edit distance, not-contained, item). Both grow with the distinct atoms
+    and items met, so a `GroundTruth` should live as long as one batch of
+    matching, not longer.
     """
 
     def __init__(self, instance: PuzzleInstance):
@@ -160,7 +224,8 @@ class GroundTruth:
         for perm in permutations(range(instance.m)):
             permuted = [tuple(row[c] for c in perm) for row in normalized]
             self.exact.setdefault(frozenset(permuted), permuted)
-        self.closeness: dict[tuple[str, str], tuple[int, int]] = {}
+        self.surfaces: dict[GroundAtom, tuple[str, ...]] = {}
+        self.vocabularies: dict[tuple[tuple[str, ...], ...], Vocabulary] = {}
 
 
 def _pick_predicate(model, arity: int) -> str | None:
@@ -194,7 +259,9 @@ def match_solution(
             matched=False,
             diagnostics=[f"no unique predicate of arity {m} to read a solution from"],
         )
-    model_rows = _model_rows(model, predicate)
+    if truth is None:
+        truth = GroundTruth(instance)
+    model_rows = _model_rows(model, predicate, truth.surfaces)
     if not model_rows:
         return MatchReport(
             matched=False, diagnostics=[f"model has no {predicate} atoms"]
@@ -210,8 +277,6 @@ def match_solution(
             diagnostics=[f"expected {n} {predicate} atoms, model has {len(model_rows)}"],
         )
 
-    if truth is None:
-        truth = GroundTruth(instance)
     # exact: some column order of the normalized ground truth equals the
     # model rows as sets of rows
     permuted = truth.exact.get(frozenset(model_rows))
@@ -227,4 +292,4 @@ def match_solution(
             item_matrix=matrix,
         )
 
-    return levenshtein_match(truth.rows, model_rows, truth.closeness)
+    return levenshtein_match(truth.rows, model_rows, truth.vocabularies)

@@ -8,7 +8,8 @@ so driving it as an external solver cross-checks the two engines. Usage:
 MAX_MODELS limits how many models are printed (0 means all, like clingo;
 a negative count is an error).
 Exit status follows the clasp convention: 10 satisfiable, 20 unsatisfiable,
-30 satisfiable with the search exhausted, 65 on any error.
+30 satisfiable with the search exhausted, 65 on any error, a usage error
+included.
 """
 
 from __future__ import annotations
@@ -37,11 +38,20 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2; a usage error is an error like any other
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="asploop-refsolver", description=__doc__)
+    parser = _Parser(prog="asploop-refsolver", description=__doc__)
     parser.add_argument("file", type=Path)
     parser.add_argument("max_models", nargs="?", type=int, default=1)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail(str(exc))
     if args.max_models < 0:
         return _fail(f"MAX_MODELS must be non-negative, got {args.max_models}")
 

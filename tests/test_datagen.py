@@ -167,6 +167,31 @@ def test_dfs_computes_each_edit_distance_once(gateway, monkeypatch):
     assert len(pairs) == len(set(pairs))
 
 
+def test_dfs_edit_distances_stay_within_the_vocabulary(gateway, monkeypatch):
+    calls = 0
+    met = set()
+    edit_distance = matching.edit_distance
+    levenshtein_match = matching.levenshtein_match
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return edit_distance(a, b)
+
+    def recording(gt_rows, model_rows, *rest):
+        met.update(item for row in model_rows for item in row)
+        return levenshtein_match(gt_rows, model_rows, *rest)
+
+    monkeypatch.setattr(matching, "edit_distance", counted)
+    monkeypatch.setattr(matching, "levenshtein_match", recording)
+    instance = fixtures.puzzle("event_planning")
+    generator = ScriptedGenerator(fixtures.scripted_path("datagen_splits"))
+    run_dfs(instance, generator, DfsConfig(), gateway)
+    gt_items = {str(item) for row in instance.solution for item in row}
+    assert met, "the run no longer reaches the edit-distance stage"
+    assert 0 < calls <= len(gt_items) * len(met)
+
+
 def test_classification_cap_scales_with_instance():
     event = fixtures.puzzle("event_planning")
     assert classification_cap(event, None) == 4 * event.expected_model_count

@@ -253,3 +253,19 @@ def test_refsolver_rejects_a_negative_model_count(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: MAX_MODELS must be non-negative, got -1\n"
+
+
+def test_refsolver_rejects_a_model_count_that_is_not_an_integer(tmp_path, capsys):
+    path = tmp_path / "many.lp"
+    path.write_text(MANY, encoding="utf-8")
+    assert refsolver.main([str(path), "abc"]) == refsolver.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument max_models: invalid int value: 'abc'\n"
+
+
+def test_refsolver_without_a_file_is_an_error(capsys):
+    assert refsolver.main([]) == refsolver.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the following arguments are required: file\n"

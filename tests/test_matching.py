@@ -1,12 +1,15 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+from dataclasses import fields
 
-from asploop import fixtures
+import pytest
+from hypothesis import example, given, strategies as st
+
+from asploop import fixtures, matching
 from asploop.asp import GroundAtom
 from asploop.matching import (
     GroundTruth,
+    MatchReport,
     edit_distance,
     levenshtein_match,
     match_solution,
@@ -230,6 +233,107 @@ def test_shared_closeness_table_matches_a_fresh_one(gt_rows, models):
         assert levenshtein_match(gt_rows, model_rows, closeness) == levenshtein_match(
             gt_rows, model_rows
         )
-    for (gt_item, model_item), close in closeness.items():
-        contained = gt_item in model_item or model_item in gt_item
-        assert close == (edit_distance(gt_item, model_item), 0 if contained else 1)
+    for vocabulary in closeness.values():
+        for gt_item, ranking in vocabulary.rankings.items():
+            assert ranking == sorted(ranking)
+            assert len(ranking) == len(vocabulary.met)
+            assert {model_item for _, _, model_item in ranking} == vocabulary.met
+            for distance, loose, model_item in ranking:
+                contained = gt_item in model_item or model_item in gt_item
+                assert (distance, loose) == (
+                    edit_distance(gt_item, model_item), 0 if contained else 1
+                )
+
+
+def all_pairs_levenshtein_match(gt_rows, model_rows, closeness=None):
+    """The all-pairs matcher the ranked vocabulary replaced, kept verbatim
+    as the reference: every ground-truth item against every model item."""
+    items = [(j, item) for j, row in enumerate(model_rows, start=1) for item in row]
+    if not items:
+        return MatchReport(
+            matched=False, method="levenshtein", diagnostics=["model rows have no items"]
+        )
+    if closeness is None:
+        closeness = {}
+
+    matrix: list[list[tuple[int, int]]] = []
+    for i, row in enumerate(gt_rows, start=1):
+        cells = []
+        for gt_item in row:
+            keys = []  # (distance, not-contained, row) per model item
+            for j, model_item in items:
+                pair = (gt_item, model_item)
+                close = closeness.get(pair)
+                if close is None:
+                    contained = gt_item in model_item or model_item in gt_item
+                    close = edit_distance(gt_item, model_item), 0 if contained else 1
+                    closeness[pair] = close
+                keys.append((*close, j))
+            cells.append((i, min(keys)[2]))
+        matrix.append(cells)
+
+    assignment: dict[int, int] = {}
+    ok = True
+    for i, cells in enumerate(matrix, start=1):
+        rows = {j for (_, j) in cells}
+        if len(rows) != 1:
+            ok = False
+            continue
+        assignment[i] = rows.pop()
+    if ok and len(set(assignment.values())) != len(assignment):
+        ok = False
+    report = MatchReport(
+        matched=ok, method="levenshtein", assignment_map=assignment, item_matrix=matrix
+    )
+    if not ok:
+        report.diagnostics.append("edit-distance row map is not a permutation")
+    return report
+
+
+# a two-letter alphabet and short items make distance ties, repeated items
+# and empty surfaces common; rows may hold no items at all
+tie_items = st.text(alphabet="ab", max_size=3)
+tie_rows = st.lists(st.lists(tie_items, max_size=3).map(tuple), max_size=4)
+
+
+@given(tie_rows, st.lists(tie_rows, min_size=1, max_size=5))
+# a distance tie between different items in different rows: the ranking
+# meets "aa" (row 2) first, but row 1's "bb" is in the same tier
+@example([("ab",)], [[("bb",), ("aa",)]])
+# one item in several rows: the lowest row holding it is its cell
+@example([("a", "x"), ("b", "y")], [[("b", "a"), ("a", "y"), ("x", "b")]])
+# empty surfaces: "" is contained in every string, so it ties loosely with all
+@example([("", "ab"), ("b", "")], [[("ab", ""), ("", "b")], [("bb", "a"), ("", "")]])
+# rows with no items, and a model with no item at all
+@example([("a", "b")], [[(), ("a", "b")], [(), ()], [("b",), (), ("a",)]])
+# items first met in a late model rank ahead of ones met earlier
+@example(
+    [("ab", "ba")],
+    [[("bbb", "aaa")], [("bbb", "aaa"), ("b", "a")], [("ba", "bbb"), ("ab", "aaa")]],
+)
+def test_ranked_vocabulary_matches_the_all_pairs_matcher(gt_rows, models):
+    vocabularies = {}
+    for model_rows in models:
+        report = levenshtein_match(gt_rows, model_rows, vocabularies)
+        reference = all_pairs_levenshtein_match(gt_rows, model_rows)
+        for f in fields(MatchReport):
+            assert getattr(report, f.name) == getattr(reference, f.name), f.name
+
+
+def test_ground_truth_renders_each_atom_once(monkeypatch, gateway, event_ref):
+    instance = fixtures.puzzle("event_planning")
+    truth = GroundTruth(instance)
+    models = list(gateway.solve(event_ref.base).models)
+    rendered = []
+    value_surface = matching._value_surface
+
+    def counted(value):
+        rendered.append(value)
+        return value_surface(value)
+
+    monkeypatch.setattr(matching, "_value_surface", counted)
+    reports = [match_solution(model, instance, None, truth) for model in models]
+    distinct = {atom for model in models for atom in model if atom.pred == "assignment"}
+    assert len(rendered) == sum(atom.arity for atom in distinct)
+    monkeypatch.undo()
+    assert reports == [match_solution(model, instance) for model in models]
