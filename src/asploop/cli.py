@@ -17,7 +17,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -221,6 +220,9 @@ def _config(cls, **fields):
 def _map_ordered(fn, items, jobs: int) -> list:
     if jobs <= 1:
         return [fn(item) for item in items]
+    # imported here: a --jobs 1 run never loads the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

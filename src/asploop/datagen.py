@@ -271,38 +271,34 @@ def run_dfs(
     return sft, pref, stats()
 
 
+# per export format: the record type and the fields written before "meta".
+# Every format writes the _META keys, each read from its record attribute;
+# a record's fields are its format's fields, then the _META attributes.
+_FORMATS = {
+    "sft-jsonl": (SftRecord, ("prompt", "completion")),
+    "pref-jsonl": (PreferenceRecord, ("prompt", "chosen", "rejected")),
+}
+_META = (("instance_id", "instance_id"), ("step", "step_index"), ("branch", "branch_id"))
+
+
+def _format(format: str):
+    if format not in _FORMATS:
+        raise ValueError(f"unknown export format {format!r}")
+    return _FORMATS[format]
+
+
 def export(records, path: str | Path, format: str) -> int:
     """Write records as JSONL with a stable field order. On I/O failure the
     partial file is removed before the error propagates.
     """
-    if format not in ("sft-jsonl", "pref-jsonl"):
-        raise ValueError(f"unknown export format {format!r}")
+    _, names = _format(format)
     path = Path(path)
     written = 0
     try:
         with open(path, "w", encoding="utf-8") as handle:
             for record in records:
-                if format == "sft-jsonl":
-                    row = {
-                        "prompt": record.prompt,
-                        "completion": record.completion,
-                        "meta": {
-                            "instance_id": record.instance_id,
-                            "step": record.step_index,
-                            "branch": record.branch_id,
-                        },
-                    }
-                else:
-                    row = {
-                        "prompt": record.prompt,
-                        "chosen": record.chosen,
-                        "rejected": record.rejected,
-                        "meta": {
-                            "instance_id": record.instance_id,
-                            "step": record.step_index,
-                            "branch": record.branch_id,
-                        },
-                    }
+                row = {name: getattr(record, name) for name in names}
+                row["meta"] = {key: getattr(record, attr) for key, attr in _META}
                 handle.write(json.dumps(row, ensure_ascii=False) + "\n")
                 written += 1
     except OSError:
@@ -316,8 +312,7 @@ def export(records, path: str | Path, format: str) -> int:
 
 def load_records(path: str | Path, format: str):
     """Inverse of export, for round-trip checks and downstream tooling."""
-    if format not in ("sft-jsonl", "pref-jsonl"):
-        raise ValueError(f"unknown export format {format!r}")
+    record_type, names = _format(format)
     out = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -325,14 +320,7 @@ def load_records(path: str | Path, format: str):
                 continue
             row = json.loads(line)
             meta = row["meta"]
-            if format == "sft-jsonl":
-                out.append(
-                    SftRecord(row["prompt"], row["completion"], meta["instance_id"],
-                              meta["step"], meta["branch"])
-                )
-            else:
-                out.append(
-                    PreferenceRecord(row["prompt"], row["chosen"], row["rejected"],
-                                     meta["instance_id"], meta["step"], meta["branch"])
-                )
+            out.append(
+                record_type(*(row[name] for name in names), *(meta[key] for key, _ in _META))
+            )
     return out

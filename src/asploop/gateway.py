@@ -1,11 +1,12 @@
 """Uniform solving interface over the in-process evaluator and an external
 clingo-style solver subprocess.
 
-Every path ends in `_verdict`, the one place a SolverVerdict is built and
-its flags are decided: an error drops every model; otherwise no models means
-unsat, and more than `cap` models means cap-exceeded. Warnings from an
-external solver count as errors; a wrong encoding that merely provokes a
-warning must not look healthy downstream.
+A SolverVerdict stores what a solve returned (its models, the cap it was
+judged against, diagnostics and whether it failed) and derives its count and
+flags from them: an error drops every model; otherwise no models means
+unsat, and more than `cap` models means cap-exceeded. So no verdict can
+contradict itself. Warnings from an external solver count as errors; a wrong
+encoding that merely provokes a warning must not look healthy downstream.
 """
 
 from __future__ import annotations
@@ -49,24 +50,26 @@ class SolverConfigError(Exception):
 class SolverVerdict:
     # the in-process backend's `Models` builds each model when it is read
     models: Sequence[frozenset[GroundAtom]]
-    model_count: int
-    is_unsat: bool = False
-    cap_exceeded: bool = False
-    has_error: bool = False
+    cap: int
     diagnostics: list[str] = field(default_factory=list)
+    has_error: bool = False
     wall_time: float = 0.0
 
     def __post_init__(self):
-        if self.model_count != len(self.models):
-            raise ValueError("model_count must equal len(models)")
-        if self.has_error and (self.is_unsat or self.cap_exceeded):
-            raise ValueError("has_error excludes is_unsat and cap_exceeded")
-        if self.is_unsat and self.cap_exceeded:
-            raise ValueError("is_unsat and cap_exceeded are mutually exclusive")
-        if self.is_unsat and (self.models or self.has_error):
-            raise ValueError("is_unsat requires zero models and no error")
-        if self.has_error and self.models:
-            raise ValueError("has_error requires an empty model list")
+        if self.has_error:
+            self.models = []
+
+    @property
+    def model_count(self) -> int:
+        return len(self.models)
+
+    @property
+    def is_unsat(self) -> bool:
+        return not (self.has_error or self.models)
+
+    @property
+    def cap_exceeded(self) -> bool:
+        return bool(self.models) and len(self.models) > self.cap
 
     @property
     def flag(self) -> str | None:
@@ -82,19 +85,10 @@ class SolverVerdict:
         return self.flag is None
 
 
-def _verdict(models, cap: int, diagnostics=(), error: bool = False,
-             wall_time: float = 0.0) -> SolverVerdict:
-    """The one constructor of a SolverVerdict: see the module docstring."""
-    models = [] if error else models
-    return SolverVerdict(
-        models=models,
-        model_count=len(models),
-        is_unsat=not (error or models),
-        cap_exceeded=bool(models) and len(models) > cap,
-        has_error=error,
-        diagnostics=list(diagnostics),
-        wall_time=wall_time,
-    )
+def _check_cap(cap: int) -> int:
+    if cap < 0:
+        raise SolverConfigError(f"cap must be non-negative, got {cap}")
+    return cap
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +138,7 @@ class SolverGateway:
         if isinstance(solver_cmd, str):
             solver_cmd = shlex.split(solver_cmd)
         self.solver_cmd = solver_cmd
-        self.cap = cap
+        self.cap = _check_cap(cap)
         self.timeout = timeout
         self._subprocess_slots = threading.Semaphore(os.cpu_count() or 4)
         if backend == "external" and not self.solver_cmd:
@@ -153,7 +147,7 @@ class SolverGateway:
             )
 
     def solve(self, program_text: str, cap: int | None = None) -> SolverVerdict:
-        cap = self.cap if cap is None else cap
+        cap = self.cap if cap is None else _check_cap(cap)
         if self.backend == "external":
             return self._solve_external(program_text, cap)
         # internal, and auto, which prefers in-process and falls back on
@@ -165,8 +159,9 @@ class SolverGateway:
             if self.solver_cmd:
                 return self._solve_external(program_text, cap)
             missing = f"no external solver configured (set {SOLVER_CMD_ENV}) for unsupported programs"
-            return _verdict((), cap, [*error_diags, missing], error=True)
-        return _verdict(models, cap, error_diags, error=bool(error_diags), wall_time=elapsed)
+            return SolverVerdict((), cap, [*error_diags, missing], has_error=True)
+        return SolverVerdict(models, cap, list(error_diags), has_error=bool(error_diags),
+                             wall_time=elapsed)
 
     # -- external ----------------------------------------------------------
 
@@ -187,11 +182,11 @@ class SolverGateway:
                     timeout=self.timeout,
                 )
         except subprocess.TimeoutExpired:
-            return _verdict((), cap, [f"external solver timed out after {self.timeout}s"],
-                            error=True, wall_time=time.perf_counter() - t0)
+            return SolverVerdict((), cap, [f"external solver timed out after {self.timeout}s"],
+                                 has_error=True, wall_time=time.perf_counter() - t0)
         except OSError as exc:
-            return _verdict((), cap, [f"external solver could not run: {exc}"],
-                            error=True, wall_time=time.perf_counter() - t0)
+            return SolverVerdict((), cap, [f"external solver could not run: {exc}"],
+                                 has_error=True, wall_time=time.perf_counter() - t0)
         finally:
             try:
                 os.unlink(path)
@@ -259,4 +254,4 @@ def parse_external_output(stdout: str, stderr: str, returncode: int, cap: int) -
     if not (error or models or unsat_marker):
         error = True
         diagnostics.append("no models parsed and no UNSATISFIABLE marker")
-    return _verdict(models, cap, diagnostics, error=error)
+    return SolverVerdict(models, cap, diagnostics, has_error=error)

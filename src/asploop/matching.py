@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .asp import GroundAtom
+from .asp.syntax import render_ground_value
 from .puzzles import PuzzleInstance
 
 
@@ -61,12 +62,6 @@ def edit_distance(a: str, b: str) -> int:
             current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
         previous = current
     return previous[-1]
-
-
-def _value_surface(value) -> str:
-    if isinstance(value, tuple):
-        return "(" + ",".join(_value_surface(v) for v in value) + ")"
-    return str(value)
 
 
 @dataclass
@@ -126,7 +121,7 @@ def _closest_row(ranking: list[tuple[int, int, str]], lowest: dict[str, int]) ->
 def levenshtein_match(
     gt_rows: list[tuple[str, ...]],
     model_rows: list[tuple[str, ...]],
-    vocabularies: dict[tuple[tuple[str, ...], ...], Vocabulary] | None = None,
+    vocabulary: Vocabulary | None = None,
 ) -> MatchReport:
     """Match ground-truth rows to model rows by per-item edit distance.
 
@@ -139,11 +134,11 @@ def levenshtein_match(
 
     The closest item is read from the ground truth's `Vocabulary`: the
     first tier of the item's ranking that holds an item of the model, and
-    the lowest row holding one in that tier. `vocabularies` maps ground-
-    truth rows (as a tuple) to their vocabulary, which is built or extended
-    with the model's items. Pass the same dict to calls over one ground
-    truth to compute each pair's distance once (see `GroundTruth`); without
-    one, the items are ranked for this call.
+    the lowest row holding one in that tier. `vocabulary` must be the
+    `Vocabulary` of `gt_rows`; it is extended with the model's items. Pass
+    the same one to calls over one ground truth to compute each pair's
+    distance once (see `GroundTruth`); without one, the items are ranked
+    for this call.
     """
     lowest: dict[str, int] = {}  # model item -> the lowest row holding it
     for j, row in enumerate(model_rows, start=1):
@@ -153,12 +148,8 @@ def levenshtein_match(
         return MatchReport(
             matched=False, method="levenshtein", diagnostics=["model rows have no items"]
         )
-    if vocabularies is None:
-        vocabularies = {}
-    key = tuple(gt_rows)
-    vocabulary = vocabularies.get(key)
     if vocabulary is None:
-        vocabulary = vocabularies[key] = Vocabulary(gt_rows)
+        vocabulary = Vocabulary(gt_rows)
     vocabulary.meet(lowest.keys())
     rankings = vocabulary.rankings
 
@@ -195,7 +186,7 @@ def _model_rows(
         if atom.pred == predicate:
             row = surfaces.get(atom)
             if row is None:
-                row = surfaces[atom] = tuple(_value_surface(v) for v in atom.args)
+                row = surfaces[atom] = tuple(render_ground_value(v) for v in atom.args)
             rows.append(row)
     rows.sort()
     return rows
@@ -210,7 +201,7 @@ class GroundTruth:
     order to its rows in that order; when two orders give one set, the
     first in `permutations` order keeps it. `surfaces` caches each model
     atom's row of argument surfaces, rendered when the atom is first met.
-    `vocabularies` holds the Levenshtein stage's `Vocabulary` of `rows`:
+    `vocabulary` is the Levenshtein stage's `Vocabulary` of `rows`:
     for each ground-truth item, the model items met so far, ranked by
     (edit distance, not-contained, item). Both grow with the distinct atoms
     and items met, so a `GroundTruth` should live as long as one batch of
@@ -225,7 +216,7 @@ class GroundTruth:
             permuted = [tuple(row[c] for c in perm) for row in normalized]
             self.exact.setdefault(frozenset(permuted), permuted)
         self.surfaces: dict[GroundAtom, tuple[str, ...]] = {}
-        self.vocabularies: dict[tuple[tuple[str, ...], ...], Vocabulary] = {}
+        self.vocabulary = Vocabulary(self.rows)
 
 
 def _pick_predicate(model, arity: int) -> str | None:
@@ -292,4 +283,4 @@ def match_solution(
             item_matrix=matrix,
         )
 
-    return levenshtein_match(truth.rows, model_rows, truth.vocabularies)
+    return levenshtein_match(truth.rows, model_rows, truth.vocabulary)

@@ -1,9 +1,10 @@
 """Reward for a solved candidate encoding.
 
-value = recip - 1[error] - 1[unsat] - 1[cap exceeded], where recip is 1/M
-for a clean verdict with at least one model and 0 otherwise. The strict
-variant used at the choice-rule step replaces 1/M with an exact count check
-against the expected model count of the unconstrained grid.
+value = recip - 1[flag], where recip is 1/M for a clean verdict with at
+least one model and 0 otherwise, and the flag is the verdict's error, unsat
+or cap-exceeded flag (at most one is set). The strict variant used at the
+choice-rule step replaces 1/M with an exact count check against the expected
+model count of the unconstrained grid.
 """
 
 from __future__ import annotations
@@ -15,37 +16,22 @@ from .gateway import SolverVerdict
 
 @dataclass(frozen=True)
 class RewardValue:
-    value: float
     recip_term: float
-    error_indicator: bool
-    unsat_indicator: bool
-    cap_indicator: bool
+    flag: str | None
 
-
-def _assemble(recip: float, verdict: SolverVerdict) -> RewardValue:
-    value = (
-        recip
-        - (1.0 if verdict.has_error else 0.0)
-        - (1.0 if verdict.is_unsat else 0.0)
-        - (1.0 if verdict.cap_exceeded else 0.0)
-    )
-    return RewardValue(
-        value=value,
-        recip_term=recip,
-        error_indicator=verdict.has_error,
-        unsat_indicator=verdict.is_unsat,
-        cap_indicator=verdict.cap_exceeded,
-    )
+    @property
+    def value(self) -> float:
+        return self.recip_term - (self.flag is not None)
 
 
 def reward(verdict: SolverVerdict) -> RewardValue:
-    """1/M reward with unit penalties for error, unsat, and cap overflow.
+    """1/M reward with a unit penalty for an error, unsat or cap overflow.
     The reciprocal contributes only when no flag is set and M >= 1."""
     if verdict.flagless and verdict.model_count >= 1:
         recip = 1.0 / verdict.model_count
     else:
         recip = 0.0
-    return _assemble(recip, verdict)
+    return RewardValue(recip, verdict.flag)
 
 
 def choice_rule_reward(verdict: SolverVerdict, expected_count: int) -> RewardValue:
@@ -56,7 +42,7 @@ def choice_rule_reward(verdict: SolverVerdict, expected_count: int) -> RewardVal
     if expected_count < 1:
         raise ValueError(f"expected_count must be >= 1, got {expected_count}")
     recip = 1.0 if (verdict.flagless and verdict.model_count == expected_count) else 0.0
-    return _assemble(recip, verdict)
+    return RewardValue(recip, verdict.flag)
 
 
 def is_negative(value: RewardValue) -> bool:

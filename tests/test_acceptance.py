@@ -155,15 +155,9 @@ def _dummy_verdict(count):
     models = tuple(
         frozenset({GroundAtom("m", (i,))}) for i in range(count)
     )
-    return SolverVerdict(
-        models=models,
-        model_count=count,
-        is_unsat=False,
-        cap_exceeded=False,
-        has_error=False,
-        diagnostics=[],
-        wall_time=0.0,
-    )
+    verdict = SolverVerdict(models=models, cap=count)
+    assert verdict.flag is None and verdict.model_count == count
+    return verdict
 
 
 def test_criterion_05_reward_table():

@@ -338,6 +338,15 @@ def test_a_run_imports_only_the_standard_library():
     assert not added & {"urllib.request", "ssl"}
 
 
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    # only a run with --jobs above 1 needs concurrent.futures
+    env = {**os.environ, "PYTHONPATH": str(Path(asploop.__file__).parents[1])}
+    code = "import asploop.cli, sys; print('concurrent.futures' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert run.stdout.split() == ["False"]
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(["frobnicate"])

@@ -6,7 +6,7 @@ import pytest
 
 from asploop import gateway as gateway_mod
 from asploop import refsolver
-from asploop.asp import parse_program, render_ground_atom
+from asploop.asp import GroundAtom, parse_program, render_ground_atom
 from asploop.asp.parser import _parse_block
 from asploop.gateway import (
     DEFAULT_CAP,
@@ -14,6 +14,7 @@ from asploop.gateway import (
     SolverGateway,
     SolverVerdict,
 )
+from asploop.rewards import choice_rule_reward, reward
 from conftest import REFSOLVER_CMD, REFSOLVER_CMD_STR
 
 GOLDEN = "item(a;b). 1 {pick(X) : item(X)} 1. :- pick(b)."
@@ -179,40 +180,56 @@ def test_external_unparseable_output_is_an_error():
     assert "no models parsed and no UNSATISFIABLE marker" in verdict.diagnostics
 
 
-def _verdict(**overrides):
-    base = dict(
-        models=(),
-        model_count=0,
-        is_unsat=False,
-        cap_exceeded=False,
-        has_error=False,
-        diagnostics=[],
-        wall_time=0.0,
-    )
-    base.update(overrides)
-    return SolverVerdict(**base)
-
-
 def test_verdict_flagless_property():
-    assert _verdict(models=(frozenset(),), model_count=1).flagless
-    assert not _verdict(is_unsat=True).flagless
-    assert not _verdict(has_error=True).flagless
-    assert not _verdict(models=(frozenset(),), model_count=1, cap_exceeded=True).flagless
+    one = (frozenset(),)
+    assert SolverVerdict(one, cap=1).flagless
+    assert not SolverVerdict((), cap=1).flagless
+    assert not SolverVerdict(one, cap=1, has_error=True).flagless
+    assert not SolverVerdict(one, cap=0).flagless
 
 
-def test_verdict_rejects_count_mismatch():
-    with pytest.raises(ValueError):
-        _verdict(model_count=1)
+CAP = 3
+
+# models given, has_error -> model_count, flag, reward, choice-rule reward
+# against an expected count of CAP
+VERDICT_TABLE = [
+    (0, False, 0, "unsat", -1.0, -1.0),
+    (1, False, 1, None, 1.0, 0.0),
+    (CAP, False, CAP, None, 1 / CAP, 1.0),
+    (CAP + 1, False, CAP + 1, "cap-exceeded", -1.0, -1.0),
+    (0, True, 0, "error", -1.0, -1.0),
+    (1, True, 0, "error", -1.0, -1.0),
+    (CAP, True, 0, "error", -1.0, -1.0),
+    (CAP + 1, True, 0, "error", -1.0, -1.0),
+]
 
 
-def test_verdict_rejects_error_with_unsat():
-    with pytest.raises(ValueError):
-        _verdict(is_unsat=True, has_error=True)
+@pytest.mark.parametrize("given_models, error, count, flag, value, choice_value", VERDICT_TABLE)
+def test_verdict_derives_its_count_and_flags(given_models, error, count, flag, value, choice_value):
+    models = [frozenset({GroundAtom("m", (i,))}) for i in range(given_models)]
+    verdict = SolverVerdict(models, CAP, has_error=error)
+    assert verdict.model_count == len(verdict.models) == count
+    flags = {
+        "error": verdict.has_error,
+        "unsat": verdict.is_unsat,
+        "cap-exceeded": verdict.cap_exceeded,
+    }
+    assert sum(flags.values()) <= 1
+    assert verdict.flag == next((name for name, on in flags.items() if on), None) == flag
+    assert verdict.flagless == (flag is None)
+    assert reward(verdict).flag == flag
+    assert reward(verdict).value == value
+    assert choice_rule_reward(verdict, CAP).value == choice_value
 
 
-def test_verdict_rejects_unsat_with_models():
-    with pytest.raises(ValueError):
-        _verdict(models=(frozenset(),), model_count=1, is_unsat=True)
+@pytest.mark.parametrize("backend", ["internal", "external", "auto"])
+def test_a_negative_cap_is_rejected(backend):
+    with pytest.raises(SolverConfigError, match="cap must be non-negative"):
+        SolverGateway(backend=backend, solver_cmd=REFSOLVER_CMD, cap=-1)
+    gateway = SolverGateway(backend=backend, solver_cmd=REFSOLVER_CMD)
+    with pytest.raises(SolverConfigError, match="cap must be non-negative"):
+        gateway.solve(MANY, cap=-1)
+    assert gateway.solve(MANY, cap=0).flag == "cap-exceeded"
 
 
 def test_external_atom_that_does_not_parse_is_an_error():
@@ -241,9 +258,9 @@ def test_verdict_flag_names_the_one_flag_set():
     assert gateway.solve(BROKEN).flag == "error"
     assert gateway.solve(UNSAT).flag == "unsat"
     assert gateway.solve(MANY, cap=2).flag == "cap-exceeded"
-    # a negative cap is invalid input; a program without models is unsat
-    # under any cap, never cap-exceeded with zero models
-    assert gateway.solve(UNSAT, cap=-1).flag == "unsat"
+    # a program without models is unsat under any cap, even the least,
+    # never cap-exceeded with zero models
+    assert gateway.solve(UNSAT, cap=0).flag == "unsat"
 
 
 def test_refsolver_rejects_a_negative_model_count(tmp_path, capsys):

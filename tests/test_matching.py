@@ -10,6 +10,7 @@ from asploop.asp import GroundAtom
 from asploop.matching import (
     GroundTruth,
     MatchReport,
+    Vocabulary,
     edit_distance,
     levenshtein_match,
     match_solution,
@@ -228,21 +229,20 @@ surface_rows = st.lists(st.tuples(surfaces, surfaces), min_size=1, max_size=3)
 
 @given(surface_rows, st.lists(surface_rows, min_size=1, max_size=4))
 def test_shared_closeness_table_matches_a_fresh_one(gt_rows, models):
-    closeness = {}
+    vocabulary = Vocabulary(gt_rows)
     for model_rows in models:
-        assert levenshtein_match(gt_rows, model_rows, closeness) == levenshtein_match(
+        assert levenshtein_match(gt_rows, model_rows, vocabulary) == levenshtein_match(
             gt_rows, model_rows
         )
-    for vocabulary in closeness.values():
-        for gt_item, ranking in vocabulary.rankings.items():
-            assert ranking == sorted(ranking)
-            assert len(ranking) == len(vocabulary.met)
-            assert {model_item for _, _, model_item in ranking} == vocabulary.met
-            for distance, loose, model_item in ranking:
-                contained = gt_item in model_item or model_item in gt_item
-                assert (distance, loose) == (
-                    edit_distance(gt_item, model_item), 0 if contained else 1
-                )
+    for gt_item, ranking in vocabulary.rankings.items():
+        assert ranking == sorted(ranking)
+        assert len(ranking) == len(vocabulary.met)
+        assert {model_item for _, _, model_item in ranking} == vocabulary.met
+        for distance, loose, model_item in ranking:
+            contained = gt_item in model_item or model_item in gt_item
+            assert (distance, loose) == (
+                edit_distance(gt_item, model_item), 0 if contained else 1
+            )
 
 
 def all_pairs_levenshtein_match(gt_rows, model_rows, closeness=None):
@@ -312,9 +312,9 @@ tie_rows = st.lists(st.lists(tie_items, max_size=3).map(tuple), max_size=4)
     [[("bbb", "aaa")], [("bbb", "aaa"), ("b", "a")], [("ba", "bbb"), ("ab", "aaa")]],
 )
 def test_ranked_vocabulary_matches_the_all_pairs_matcher(gt_rows, models):
-    vocabularies = {}
+    vocabulary = Vocabulary(gt_rows)
     for model_rows in models:
-        report = levenshtein_match(gt_rows, model_rows, vocabularies)
+        report = levenshtein_match(gt_rows, model_rows, vocabulary)
         reference = all_pairs_levenshtein_match(gt_rows, model_rows)
         for f in fields(MatchReport):
             assert getattr(report, f.name) == getattr(reference, f.name), f.name
@@ -325,13 +325,13 @@ def test_ground_truth_renders_each_atom_once(monkeypatch, gateway, event_ref):
     truth = GroundTruth(instance)
     models = list(gateway.solve(event_ref.base).models)
     rendered = []
-    value_surface = matching._value_surface
+    render_ground_value = matching.render_ground_value
 
     def counted(value):
         rendered.append(value)
-        return value_surface(value)
+        return render_ground_value(value)
 
-    monkeypatch.setattr(matching, "_value_surface", counted)
+    monkeypatch.setattr(matching, "render_ground_value", counted)
     reports = [match_solution(model, instance, None, truth) for model in models]
     distinct = {atom for model in models for atom in model if atom.pred == "assignment"}
     assert len(rendered) == sum(atom.arity for atom in distinct)

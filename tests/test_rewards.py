@@ -34,15 +34,14 @@ def test_multiple_models_score_reciprocal(solver):
 def test_unsat_scores_minus_one(solver):
     value = reward(solver.solve(UNSAT))
     assert value.value == -1.0
-    assert value.unsat_indicator
-    assert not value.error_indicator
+    assert value.flag == "unsat"
     assert is_negative(value)
 
 
 def test_error_scores_minus_one(solver):
     value = reward(solver.solve(BROKEN))
     assert value.value == -1.0
-    assert value.error_indicator
+    assert value.flag == "error"
     assert is_negative(value)
 
 
@@ -50,7 +49,7 @@ def test_cap_exceeded_scores_minus_one():
     verdict = SolverGateway(cap=2).solve(FOUR)
     value = reward(verdict)
     assert value.value == -1.0
-    assert value.cap_indicator
+    assert value.flag == "cap-exceeded"
     assert is_negative(value)
 
 
@@ -85,6 +84,7 @@ def test_choice_reward_propagates_failures(solver):
 
 def test_indicators_are_mutually_exclusive(solver):
     for text in (UNIQUE, FOUR, UNSAT, BROKEN):
-        value = reward(solver.solve(text))
-        flags = [value.error_indicator, value.unsat_indicator, value.cap_indicator]
+        verdict = solver.solve(text)
+        assert reward(verdict).flag == verdict.flag
+        flags = [verdict.has_error, verdict.is_unsat, verdict.cap_exceeded]
         assert sum(flags) <= 1
