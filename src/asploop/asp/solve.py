@@ -14,7 +14,18 @@ lexicographically, so models are found in the order of a plain
 backtracking walk over the groups, minus subtrees that hold no full
 selection, and a capped search keeps the same first cap+1 models. The
 search counts one node per accepted selection, plus the root, and stops
-at NODE_BUDGET. Each full selection is closed under the rules to the
+at NODE_BUDGET, or as soon as it has counted more than cap models.
+
+A search state is a group's level and the open candidates, one int. When
+no rule, deferred constraint or bound check can make a model depend on
+more than its selections, the models below a state depend on the state
+alone, so the search is memoized on it, as component-caching model
+counters are (Thurley, sharpSAT, SAT 2006): each distinct state is
+searched once and records its model count and, in selection order, its
+selections that lead to a model. A repeat visit adds the recorded count
+and searches nothing. The recorded DAG is then walked in selection order
+for the first cap+1 models, the ones the search without memo finds.
+Otherwise each full selection is closed under the rules to the
 well-founded model, as the grounder does, and checked for what pruning
 cannot decide: deferred constraints, and each group's bounds when a
 candidate can be true other than through its own group's selection. A
@@ -125,58 +136,109 @@ class Models(Sequence):
 @dataclass
 class _Search:
     """One solve's tables over the skeleton's atom ids, and the
-    forward-checking search over them."""
+    forward-checking search over them, memoized on its states when a
+    model is its selections."""
 
     groups: list[tuple[int, int | None, int]]  # (lower, upper, candidates' atom-id mask)
-    domains: list[int]  # each group's open candidates: dead candidates cleared
+    live: int  # the candidates no constraint kills on its own
     allowed: list[int]  # [id]: the atom ids left open once that atom is chosen
+    later: list[list[int]]  # [g]: the candidate masks of the groups after g
     later_lowers: list[list[int]]  # [g]: the lower bounds of the groups after g
+    below: list[int]  # [g]: the candidates of group g and the groups after it
     atom_of: list[GroundAtom]
     facts: int
     rules: list[tuple[int, int, int]]  # (head bit, pos mask, neg mask)
     deferred: list[tuple[int, int]]  # (pos mask, neg mask), checked on complete models
     # some live candidate can be true other than through its own group's selection
     check_bounds: bool
+    # [g]: (count, record) of each searched state at group g by its open
+    # candidates, or None when a leaf can depend on more than its selection
+    memo: list[dict[int, tuple[int, list]]] | None
     cap: int = 0
     budget: int = 0
+    total: int = 0  # the models counted so far
     found: set[int] = field(default_factory=set)
 
     def run(self, cap: int) -> tuple[Models, bool]:
         self.cap, self.budget = cap, NODE_BUDGET
         self.node()  # the root
-        exhausted = self.descend(0, self.domains, self.facts) if self.groups else self.leaf(self.facts)
-        return Models(self.atom_of, list(self.found)), exhausted
+        if not self.groups:
+            self.leaf(self.facts)
+            return Models(self.atom_of, list(self.found)), self.total <= cap
+        record = self.descend(0, self.live, self.facts)
+        if self.memo is None:
+            masks = list(self.found)
+        else:
+            self.memo = None  # drop the memo: the walk reads only the records
+            masks = []
+            self.walk(0, record, self.facts, masks, cap + 1)
+            del masks[cap + 1:]
+        return Models(self.atom_of, masks), self.total <= cap
 
     def node(self) -> None:
         if self.budget == 0:
             raise EnumerationBudgetError(f"enumeration exceeded the budget of {NODE_BUDGET} search nodes")
         self.budget -= 1
 
-    def descend(self, level: int, domains: list[int], model: int) -> bool:
-        """Try each selection of group `level` from its open candidates,
-        domains[0]; domains[1:] are the later groups'. `model` holds the
-        facts and the earlier groups' selections. Returns False once cap+1
-        models are found."""
-        later, later_lowers = domains[1:], self.later_lowers[level]
-        last = not later
-        for chosen, kept in self.selections(level, _ids(domains[0])):
+    def descend(self, level: int, open_: int, model: int) -> list:
+        """Search the state of group `level` and the open candidates
+        `open_`: try each selection of the group's open candidates. `model`
+        holds the facts and the earlier groups' selections. Stops once more
+        than cap models are counted. Returns the state's record for the
+        walk: at the last group, the atom-id bits of each selection
+        counted; before it, each selection that leads to a model, as (its
+        atom-id bits, the next state's record). Both in selection order."""
+        cap = self.cap
+        if level == len(self.groups) - 1:
+            leaves = []
+            for chosen, _ in self.selections(level, open_):
+                self.node()
+                self.leaf(model | chosen)
+                leaves.append(chosen)
+                if self.total > cap:
+                    break
+            return leaves
+        memo = None if self.memo is None else self.memo[level + 1]
+        below, later, later_lowers = self.below[level + 1], self.later[level], self.later_lowers[level]
+        children = []
+        for chosen, kept in self.selections(level, open_):
             self.node()
-            if last:
-                if not self.leaf(model | chosen):
-                    return False
-                continue
-            rest = list(map(kept.__and__, later))
-            if any(map(int.__lt__, map(int.bit_count, rest), later_lowers)):
-                continue
-            if not self.descend(level + 1, rest, model | chosen):
-                return False
-        return True
+            rest = open_ & kept
+            state = None if memo is None else memo.get(rest & below)
+            if state is None:
+                if any(map(int.__lt__, map(int.bit_count, map(rest.__and__, later)), later_lowers)):
+                    continue
+                start = self.total
+                record = self.descend(level + 1, rest, model | chosen)
+                state = self.total - start, record
+                if memo is not None:
+                    memo[rest & below] = state
+            else:
+                self.total += state[0]  # a repeat visit: its count, and no node
+            if state[0] and memo is not None:
+                children.append((chosen, state[1]))
+            if self.total > cap:
+                break
+        return children
 
-    def selections(self, level: int, ids: list[int]):
-        """Group `level`'s selections from its open candidate `ids` with no
-        pair inside, by size and then lexicographically, each as the atom-id
-        bits it chooses and the atom ids it leaves open."""
-        lower, upper, _ = self.groups[level]
+    def walk(self, level: int, record: list, model: int, masks: list[int], limit: int) -> None:
+        """Append the models below a state's `record`, in search order, to
+        `masks` until it holds at least `limit`. `model` holds the facts and
+        the earlier groups' selections."""
+        if level == len(self.groups) - 1:
+            masks.extend(map(model.__or__, record))
+            return
+        for chosen, child in record:
+            self.walk(level + 1, child, model | chosen, masks, limit)
+            if len(masks) >= limit:
+                return
+
+    def selections(self, level: int, open_: int):
+        """Group `level`'s selections from the open candidates in `open_`
+        with no pair inside, by size and then lexicographically, each as
+        the atom-id bits it chooses and the atom ids it leaves open."""
+        lower, upper, cands = self.groups[level]
+        ids = _ids(open_ & cands)
         allowed = self.allowed
         if lower == upper == 1:
             return ((1 << c, allowed[c]) for c in ids)
@@ -195,10 +257,14 @@ class _Search:
                     continue  # two partners in one selection
                 yield chosen, kept
 
-    def leaf(self, base: int) -> bool:
-        """Close facts plus a full selection under the rules, check what
-        search-time pruning could not decide, and keep the model. Returns
-        False once cap+1 models are found."""
+    def leaf(self, base: int) -> None:
+        """Count a full selection's model. With the memo, a selection is
+        its own model, and is counted only. Otherwise close facts plus the
+        selection under the rules, check what search-time pruning could not
+        decide, and keep the model."""
+        if self.memo is not None:
+            self.total += 1
+            return
         model = base
         rules = self.rules
         if rules:
@@ -210,14 +276,14 @@ class _Search:
                 raise UnsupportedProgram(self.atom_of[i] for i in _ids(high & ~model))
         for pos, neg in self.deferred:
             if model & pos == pos and not model & neg:
-                return True
+                return
         if self.check_bounds:
             for lower, upper, cands in self.groups:
                 inside = (model & cands).bit_count()
                 if inside < lower or (upper is not None and inside > upper):
-                    return True
+                    return
         self.found.add(model)
-        return len(self.found) <= self.cap
+        self.total = len(self.found)
 
 
 def _search(gp: GroundProgram) -> _Search:
@@ -230,20 +296,25 @@ def _search(gp: GroundProgram) -> _Search:
         for a, partners in route.partners.items():
             allowed[a] &= ~partners
     groups = [(lower, upper, sum(1 << c for c in cands)) for lower, upper, cands in symbols.groups]
+    rules = [(1 << head, sum(1 << p for p in pos), sum(1 << q for q in neg)) for head, pos, neg in symbols.rules]
+    # statements can share a constraint: check each once
+    deferred = list(dict.fromkeys((sum(1 << p for p in pos), sum(1 << q for q in neg))
+                                  for route in gp.routes for pos, neg in route.deferred))
+    check_bounds = (len(live) != len(set(live))
+                    or not (symbols.derivable | symbols.fact_ids).isdisjoint(live))
     return _Search(
         groups=groups,
-        domains=[sum(1 << c for c in cands if c not in forbidden) for _, _, cands in symbols.groups],
+        live=sum(1 << c for c in set(live)),
         allowed=allowed,
+        later=[[cands for _, _, cands in groups[g + 1:]] for g in range(len(groups))],
         later_lowers=[[lower for lower, _, _ in groups[g + 1:]] for g in range(len(groups))],
+        below=list(itertools.accumulate(reversed([cands for _, _, cands in groups]), int.__or__))[::-1],
         atom_of=symbols.atom_of,
         facts=sum(1 << i for i in symbols.fact_ids),
-        rules=[(1 << head, sum(1 << p for p in pos), sum(1 << q for q in neg))
-               for head, pos, neg in symbols.rules],
-        # statements can share a constraint: check each once
-        deferred=list(dict.fromkeys((sum(1 << p for p in pos), sum(1 << q for q in neg))
-                                    for route in gp.routes for pos, neg in route.deferred)),
-        check_bounds=(len(live) != len(set(live))
-                      or not (symbols.derivable | symbols.fact_ids).isdisjoint(live)),
+        rules=rules,
+        deferred=deferred,
+        check_bounds=check_bounds,
+        memo=None if rules or deferred or check_bounds or not groups else [{} for _ in groups],
     )
 
 
@@ -267,7 +338,10 @@ def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[Models, b
     Returns (models, exhausted). `exhausted` is True when the search space
     was fully explored; in that case the models are complete. Models read
     sorted by their sorted atom vector, so the order never depends on
-    search order.
+    search order. A program whose models are its selections is counted on
+    a memo of search states, so its count costs one node per selection of
+    each distinct state, not one per model, and the models are then walked
+    from the memo's records.
     """
     if any(route.always_violated for route in gp.routes):
         return Models(gp.symbols.atom_of, []), True

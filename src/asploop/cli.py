@@ -262,6 +262,8 @@ def _write_per_instance_csv(path: Path, report: dict, instances) -> None:
 # Subcommands
 
 def cmd_solve(args) -> int:
+    if args.show_models < 0:
+        raise CliConfigError("--show-models must be non-negative")
     text = _read_text(Path(args.program), "program file")
     verdict = _make_gateway(args).solve(text)
 
@@ -272,7 +274,7 @@ def cmd_solve(args) -> int:
     if verdict.flag == "unsat":
         print("UNSAT")
     print(f"reward: {reward(verdict).value}")
-    for index, model in enumerate(verdict.models[: max(args.show_models, 0)], start=1):
+    for index, model in enumerate(verdict.models[: args.show_models], start=1):
         atoms = " ".join(
             render_ground_atom(atom) for atom in sorted(model, key=ground_atom_key)
         )

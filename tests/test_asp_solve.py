@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -8,10 +9,11 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import asploop
 from asploop import fixtures
@@ -29,8 +31,8 @@ from asploop.asp import (
     solve,
 )
 from asploop.asp import ground
-from asploop.asp.ground import _ground_skeleton
-from asploop.asp.syntax import AtomLit, Rule
+from asploop.asp.ground import UnsupportedProgram, _ground_skeleton
+from asploop.asp.syntax import AtomLit, GroundAtom, Rule
 from asploop.gateway import SolverGateway
 from asploop.rewards import reward
 from conftest import REFSOLVER_CMD
@@ -168,6 +170,17 @@ def test_node_budget_raises(monkeypatch):
     gp = grounded("item(a;b;c;d;e). {pick(X) : item(X)}.")
     with pytest.raises(EnumerationBudgetError, match="budget of 3 search nodes"):
         enumerate_models(gp)
+
+
+def test_memo_hits_cost_no_nodes(monkeypatch):
+    # 16 groups of two candidates and no constraint: each group has one
+    # state, searched once at two nodes, so 33 nodes count all 2**16 models
+    monkeypatch.setattr(solve, "NODE_BUDGET", 100)
+    gp = grounded(f"i({';'.join(map(str, range(1, 17)))}). c(0;1). 1 {{a(I,C) : c(C)}} 1 :- i(I).")
+    models, exhausted = enumerate_models(gp, cap=1000)
+    assert (len(models), exhausted) == (1001, False)
+    models, exhausted = enumerate_models(gp)
+    assert (len(models), exhausted) == (2**16, True)
 
 
 # A variable read where nothing binds it, in each place that reads a term.
@@ -818,6 +831,222 @@ def test_capped_enumeration_agrees_with_the_oracle(text, cap):
     assert (verdict.is_unsat, verdict.cap_exceeded) == (total == 0, total > cap)
     recip = 1 / total if 0 < total <= cap else 0.0
     assert reward(verdict).value == recip - (total == 0) - (total > cap)
+
+
+@dataclass
+class ReferenceSearch:
+    """The enumerator before its search was memoized, kept verbatim as the
+    reference: every path of the search reaches its own leaf, which checks
+    and keeps its model."""
+
+    groups: list[tuple[int, int | None, int]]  # (lower, upper, candidates' atom-id mask)
+    domains: list[int]  # each group's open candidates: dead candidates cleared
+    allowed: list[int]  # [id]: the atom ids left open once that atom is chosen
+    later_lowers: list[list[int]]  # [g]: the lower bounds of the groups after g
+    atom_of: list[GroundAtom]
+    facts: int
+    rules: list[tuple[int, int, int]]  # (head bit, pos mask, neg mask)
+    deferred: list[tuple[int, int]]  # (pos mask, neg mask), checked on complete models
+    # some live candidate can be true other than through its own group's selection
+    check_bounds: bool
+    cap: int = 0
+    budget: int = 0
+    found: set[int] = field(default_factory=set)
+
+    def run(self, cap: int) -> tuple[solve.Models, bool]:
+        self.cap, self.budget = cap, solve.NODE_BUDGET
+        self.node()  # the root
+        exhausted = self.descend(0, self.domains, self.facts) if self.groups else self.leaf(self.facts)
+        return solve.Models(self.atom_of, list(self.found)), exhausted
+
+    def node(self) -> None:
+        if self.budget == 0:
+            raise EnumerationBudgetError(f"enumeration exceeded the budget of {solve.NODE_BUDGET} search nodes")
+        self.budget -= 1
+
+    def descend(self, level: int, domains: list[int], model: int) -> bool:
+        """Try each selection of group `level` from its open candidates,
+        domains[0]; domains[1:] are the later groups'. `model` holds the
+        facts and the earlier groups' selections. Returns False once cap+1
+        models are found."""
+        later, later_lowers = domains[1:], self.later_lowers[level]
+        last = not later
+        for chosen, kept in self.selections(level, solve._ids(domains[0])):
+            self.node()
+            if last:
+                if not self.leaf(model | chosen):
+                    return False
+                continue
+            rest = list(map(kept.__and__, later))
+            if any(map(int.__lt__, map(int.bit_count, rest), later_lowers)):
+                continue
+            if not self.descend(level + 1, rest, model | chosen):
+                return False
+        return True
+
+    def selections(self, level: int, ids: list[int]):
+        """Group `level`'s selections from its open candidate `ids` with no
+        pair inside, by size and then lexicographically, each as the atom-id
+        bits it chooses and the atom ids it leaves open."""
+        lower, upper, _ = self.groups[level]
+        allowed = self.allowed
+        if lower == upper == 1:
+            return ((1 << c, allowed[c]) for c in ids)
+        return self._selections(lower, upper, ids)
+
+    def _selections(self, lower, upper, ids):
+        allowed = self.allowed
+        hi = len(ids) if upper is None else min(upper, len(ids))
+        for size in range(lower, hi + 1):
+            for sel in itertools.combinations(ids, size):
+                chosen, kept = 0, -1
+                for c in sel:
+                    chosen |= 1 << c
+                    kept &= allowed[c]
+                if kept & chosen != chosen:
+                    continue  # two partners in one selection
+                yield chosen, kept
+
+    def leaf(self, base: int) -> bool:
+        """Close facts plus a full selection under the rules, check what
+        search-time pruning could not decide, and keep the model. Returns
+        False once cap+1 models are found."""
+        model = base
+        rules = self.rules
+        if rules:
+            high = solve._rule_closure(base, rules, 0)
+            model = solve._rule_closure(base, rules, high)
+            while (upper := solve._rule_closure(base, rules, model)) != high:
+                high, model = upper, solve._rule_closure(base, rules, upper)
+            if model != high:
+                raise UnsupportedProgram(self.atom_of[i] for i in solve._ids(high & ~model))
+        for pos, neg in self.deferred:
+            if model & pos == pos and not model & neg:
+                return True
+        if self.check_bounds:
+            for lower, upper, cands in self.groups:
+                inside = (model & cands).bit_count()
+                if inside < lower or (upper is not None and inside > upper):
+                    return True
+        self.found.add(model)
+        return len(self.found) <= self.cap
+
+
+def reference_search(gp) -> ReferenceSearch:
+    """Merge the routes of `gp`'s constraint statements over its symbols."""
+    symbols = gp.symbols
+    forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
+    live = [c for _, _, cands in symbols.groups for c in cands if c not in forbidden]
+    allowed = [-1] * len(symbols.atom_of)
+    for route in gp.routes:
+        for a, partners in route.partners.items():
+            allowed[a] &= ~partners
+    groups = [(lower, upper, sum(1 << c for c in cands)) for lower, upper, cands in symbols.groups]
+    return ReferenceSearch(
+        groups=groups,
+        domains=[sum(1 << c for c in cands if c not in forbidden) for _, _, cands in symbols.groups],
+        allowed=allowed,
+        later_lowers=[[lower for lower, _, _ in groups[g + 1:]] for g in range(len(groups))],
+        atom_of=symbols.atom_of,
+        facts=sum(1 << i for i in symbols.fact_ids),
+        rules=[(1 << head, sum(1 << p for p in pos), sum(1 << q for q in neg))
+               for head, pos, neg in symbols.rules],
+        # statements can share a constraint: check each once
+        deferred=list(dict.fromkeys((sum(1 << p for p in pos), sum(1 << q for q in neg))
+                                    for route in gp.routes for pos, neg in route.deferred)),
+        check_bounds=(len(live) != len(set(live))
+                      or not (symbols.derivable | symbols.fact_ids).isdisjoint(live)),
+    )
+
+
+def reference_enumerate(gp, cap=1_000_000):
+    if any(route.always_violated for route in gp.routes):
+        return solve.Models(gp.symbols.atom_of, []), True
+    return reference_search(gp).run(cap)
+
+
+# Choice groups of one or two predicates per item, each with cardinality
+# bounds, and constraints the search prunes with: pairs across groups and
+# inside one, and dead candidates. Programs that meet the memo's conditions
+# are drawn with `memo=True`; otherwise each line of BREAKS_MEMO may be
+# added, and each one alone makes a leaf depend on more than its selection.
+PAIRWISE = [
+    ":- a(I,V), a(J,V), I < J.",
+    ":- a(I,V), a(J,W), J = I + 1, W = V + 1.",
+    ":- a(I,V), b(I,V).",
+    ":- a(I,V), b(J,V), I != J.",
+    ":- b(I,V), b(I,W), V < W.",
+    ":- a(1,1).",
+    ":- b(I,V), I = V.",
+]
+BREAKS_MEMO = [
+    "{a(I,V) : i(I)} 1 :- v(V).",  # candidates shared between groups
+    "a(1,2).",  # a candidate that is a fact
+    "h(I) :- a(I,V), V > 1.",  # a rule
+    ":- i(I), not a(I,1).",  # a constraint with negation, checked on models
+    ":- a(1,V), a(2,V), b(3,V).",  # a constraint on three atoms, checked on models
+    "h(I) :- i(I), not b(I,2). :- h(1), a(1,2).",  # a rule head in a constraint
+]
+
+
+@st.composite
+def search_programs(draw, memo=False, space=4096):
+    items, values = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lines = [f"i({';'.join(map(str, range(1, items + 1)))}). v({';'.join(map(str, range(1, values + 1)))})."]
+    selections = 1
+    for pred in draw(st.lists(st.sampled_from(["a", "b"]), min_size=1, unique=True)):
+        lower = draw(st.integers(0, 2))
+        upper = draw(st.one_of(st.none(), st.integers(lower, 2)))
+        lines.append(f"{lower} {{{pred}(I,V) : v(V)}} {'' if upper is None else upper} :- i(I).")
+        hi = values if upper is None else min(upper, values)
+        selections *= sum(math.comb(values, k) for k in range(lower, hi + 1)) ** items
+    assume(selections <= space)
+    lines += draw(st.lists(st.sampled_from(PAIRWISE), max_size=3, unique=True))
+    if not memo:
+        lines += draw(st.lists(st.sampled_from(BREAKS_MEMO), max_size=2, unique=True))
+    return "\n".join(lines)
+
+
+ALL_DIFFERENT = "i(1;2;3). v(1;2;3). 1 {a(I,V) : v(V)} 1 :- i(I). :- a(I,V), a(J,V), I < J."
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_programs(), st.one_of(st.none(), st.integers(0, 5)))
+# the last group's state after a(1,1), a(2,2) is met again after a(1,2),
+# a(2,1); a cap of 2 stops the count inside that repeat visit
+@example(ALL_DIFFERENT, 2)
+def test_memoized_search_matches_the_reference_search(text, cap):
+    gp = grounded(text)
+    kwargs = {} if cap is None else {"cap": cap}
+    models, exhausted = enumerate_models(gp, **kwargs)
+    expected, expected_exhausted = reference_enumerate(gp, **kwargs)
+    assert (len(models), exhausted) == (len(expected), expected_exhausted)
+    assert list(models) == list(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_programs(memo=True, space=512))
+def test_memoized_count_agrees_with_the_oracle(text):
+    gp = grounded(text)
+    assert solve._search(gp).memo is not None
+    models, exhausted = enumerate_models(gp)
+    oracle = brute_force_models(gp)
+    assert exhausted
+    assert len(models) == len(oracle)
+    assert models == oracle
+
+
+def test_the_memo_searches_each_state_once():
+    # three all-different groups: the last group's three states are each met
+    # twice. The root, the first group's 3 selections, 2 in each of the
+    # second group's 3 states and 1 in each last state: 13 nodes, where the
+    # search without the memo visits each last state twice, 16 nodes
+    search = solve._search(grounded(ALL_DIFFERENT))
+    assert search.run(1_000_000)[0] == brute_force_models(grounded(ALL_DIFFERENT))
+    assert solve.NODE_BUDGET - search.budget == 13
+    reference = reference_search(grounded(ALL_DIFFERENT))
+    reference.run(1_000_000)
+    assert solve.NODE_BUDGET - reference.budget == 16
 
 
 # Random programs whose terms are drawn from variables, `_`, constants,

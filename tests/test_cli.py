@@ -360,6 +360,7 @@ BAD_NUMBERS = {
     "datagen-no-samples": ("datagen", ["--n-samples", "0"], "n_samples must be at least 1"),
     "datagen-negative-branch": ("datagen", ["--max-chosen-branch", "-1"], "max_chosen_branch"),
     "solve-negative-cap": ("solve", ["--cap", "-1"], "--cap must be non-negative"),
+    "solve-negative-show-models": ("solve", ["--show-models", "-1"], "--show-models must be non-negative"),
 }
 
 
