@@ -54,8 +54,9 @@ last result kept (`_ground_skeleton`), their atoms interned to ints for the
 enumerator (`Symbols`). Each constraint statement is compiled against it
 once (`_compile_statement`): its ground constraints, keyed for
 deduplication, and their `Route` over the interned atoms. Candidates adding
-constraints to one prefix share all of it: a ground program lists its
-statements' routes, and the enumerator merges them.
+constraints to one prefix share all of it: a ground program refers to its
+statements' compiled forms, the enumerator merges their routes, and their
+ground constraints are merged only when read (`GroundProgram.constraints`).
 """
 
 from __future__ import annotations
@@ -177,15 +178,30 @@ class Route:
 
 @dataclass
 class GroundProgram:
+    """A ground program that refers to its skeleton's facts, choices, rules
+    and possible atoms, and to each constraint statement's compiled form, in
+    program order: its ground constraints by dedup key (`keyed`) and their
+    route (`routes`), which is all the enumerator reads. `constraints`, each
+    dedup key's first ground constraint across statements, is merged on read."""
+
     facts: frozenset[GroundAtom]
     choices: list[GroundChoice]
     rules: list[GroundRule]
-    constraints: list[GroundConstraint]
     possible: frozenset[GroundAtom]
+    keyed: tuple[dict[tuple, GroundConstraint], ...]
     # the enumerator's view, shared with the skeleton: its interned atoms and
     # the route of each constraint statement, in program order
     symbols: Symbols = field(compare=False, repr=False)
     routes: tuple[Route, ...] = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def constraints(self) -> list[GroundConstraint]:
+        # copying the first statement's dict keeps its keys' stored hashes
+        merged = dict(self.keyed[0]) if self.keyed else {}
+        for keyed in self.keyed[1:]:
+            for dedup_key, cons in keyed.items():
+                merged.setdefault(dedup_key, cons)
+        return list(merged.values())
 
     @property
     def choice_candidate_count(self) -> int:
@@ -807,41 +823,35 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
     skeleton = _ground_skeleton(tuple(
         (stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Fact, Rule, Choice))
     ))
-    # each dedup key's first constraint, across statements; copying the
-    # first statement's dict keeps its keys' stored hashes
-    merged: dict[tuple, GroundConstraint] = {}
-    routes: list[Route] = []
+    compiled: list[tuple[dict[tuple, GroundConstraint], Route]] = []
     for stmt in statements:
         if isinstance(stmt, (Constraint, CardinalityRule)):
             key = (stmt, stmt.source_text)
-            compiled = skeleton.constraints.get(key)
-            if compiled is None:
+            entry = skeleton.constraints.get(key)
+            if entry is None:
                 # errors are not stored; threads racing here store equal entries
-                compiled = skeleton.constraints[key] = _compile_statement(stmt, skeleton)
-            keyed, route = compiled
-            if not routes:
-                merged = dict(keyed)
-            else:
-                for dedup_key, cons in keyed.items():
-                    merged.setdefault(dedup_key, cons)
-            routes.append(route)
-    gp = skeleton.program
-    return GroundProgram(gp.facts, list(gp.choices), list(gp.rules), list(merged.values()), gp.possible,
-                         gp.symbols, tuple(routes))
+                entry = skeleton.constraints[key] = _compile_statement(stmt, skeleton)
+            compiled.append(entry)
+    return GroundProgram(skeleton.facts, skeleton.choices, skeleton.rules, skeleton.possible,
+                         tuple(keyed for keyed, _ in compiled), skeleton.symbols, tuple(r for _, r in compiled))
 
 
 @dataclass
 class _Skeleton:
-    """Fact, Rule and Choice statements grounded (`program`, no constraints,
-    its atoms interned), the indices constraint statements are grounded
-    against, and each one's compiled form so far, keyed by (statement,
-    source text): its ground constraints by dedup key, in order, and their
-    route."""
+    """Fact, Rule and Choice statements grounded, their atoms interned
+    (`symbols`), what constraint statements are grounded against, and each
+    one's compiled form so far, keyed by (statement, source text): its
+    ground constraints by dedup key, in order, and their route. Ground
+    programs share all of it, so none of it changes once stored."""
 
-    program: GroundProgram
+    facts: frozenset[GroundAtom]
+    choices: list[GroundChoice]
+    rules: list[GroundRule]
+    possible: frozenset[GroundAtom]
+    symbols: Symbols
     dependent: set[tuple[str, int]]
-    base: _Index
-    possible: _Index
+    base: set[GroundAtom]  # the atoms true in every model
+    by_pred: dict[tuple[str, int], list[GroundAtom]]  # the possible atoms by predicate
     constraints: dict[tuple[Statement, str], tuple[dict[tuple, GroundConstraint], Route]] = field(
         default_factory=dict)
 
@@ -912,15 +922,19 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
         residual_join(possible.by_pred, base.atoms, keyed_rules)
     ground_rules = list(keyed_rules.values())
 
-    symbols = Symbols(facts, choices, ground_rules)
-    program = GroundProgram(frozenset(facts), choices, ground_rules, [], frozenset(possible.atoms), symbols, ())
-    return _Skeleton(program, dependent, base, possible)
+    return _Skeleton(frozenset(facts), choices, ground_rules, frozenset(possible.atoms),
+                     Symbols(facts, choices, ground_rules), dependent, base.atoms, possible.by_pred)
 
 
 def _compile_statement(stmt: Constraint | CardinalityRule, skeleton: _Skeleton):
-    """A constraint statement's ground constraints by dedup key, and their route."""
-    keyed = _ground_constraints(stmt, skeleton)
-    return keyed, _route(keyed, skeleton.program.symbols)
+    """A constraint's instances, or a cardinality-equality head's instances
+    whose count is off, as ground constraints in order, each keyed by its
+    dedup key (pos and neg as sets), so each pair of sets comes once; and
+    their route."""
+    plan = _Plan(stmt.body, skeleton.dependent, stmt.source_text)
+    keyed: dict[tuple, GroundConstraint] = {}
+    _constraint_instances(stmt, plan)(skeleton.by_pred, skeleton.base, skeleton.symbols.id_of, keyed)
+    return keyed, _route(keyed, skeleton.symbols)
 
 
 def _route(keyed: dict[tuple, GroundConstraint], symbols: Symbols) -> Route:
@@ -962,17 +976,6 @@ def _route(keyed: dict[tuple, GroundConstraint], symbols: Symbols) -> Route:
             partners[a] = partners.get(a, 0) | 1 << b
             partners[b] = partners.get(b, 0) | 1 << a
     return Route(always_violated, frozenset(forbidden), partners, tuple(deferred))
-
-
-def _ground_constraints(stmt: Constraint | CardinalityRule, skeleton: _Skeleton) -> dict[tuple, GroundConstraint]:
-    """A constraint's instances, or a cardinality-equality head's instances
-    whose count is off, as ground constraints in order, each keyed by its
-    dedup key (pos and neg as sets), so each pair of sets comes once."""
-    plan = _Plan(stmt.body, skeleton.dependent, stmt.source_text)
-    out: dict[tuple, GroundConstraint] = {}
-    _constraint_instances(stmt, plan)(skeleton.possible.by_pred, skeleton.base.atoms,
-                                      skeleton.program.symbols.id_of, out)
-    return out
 
 
 def _dedup_key(pos, neg, id_of: dict[GroundAtom, int]) -> tuple:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .ground import GroundProgram, UnsupportedProgram
 from .syntax import GroundAtom, ground_atom_key
@@ -133,31 +132,50 @@ class Models(Sequence):
         return f"Models({list(self)!r})"
 
 
-@dataclass
 class _Search:
-    """One solve's tables over the skeleton's atom ids, and the
+    """One solve's tables over the skeleton's atom ids, built from the
+    routes of `gp`'s constraint statements merged over its symbols, and the
     forward-checking search over them, memoized on its states when a
     model is its selections."""
 
-    groups: list[tuple[int, int | None, int]]  # (lower, upper, candidates' atom-id mask)
-    live: int  # the candidates no constraint kills on its own
-    allowed: list[int]  # [id]: the atom ids left open once that atom is chosen
-    later: list[list[int]]  # [g]: the candidate masks of the groups after g
-    later_lowers: list[list[int]]  # [g]: the lower bounds of the groups after g
-    below: list[int]  # [g]: the candidates of group g and the groups after it
-    atom_of: list[GroundAtom]
-    facts: int
-    rules: list[tuple[int, int, int]]  # (head bit, pos mask, neg mask)
-    deferred: list[tuple[int, int]]  # (pos mask, neg mask), checked on complete models
-    # some live candidate can be true other than through its own group's selection
-    check_bounds: bool
-    # [g]: (count, record) of each searched state at group g by its open
-    # candidates, or None when a leaf can depend on more than its selection
-    memo: list[dict[int, tuple[int, list]]] | None
-    cap: int = 0
-    budget: int = 0
-    total: int = 0  # the models counted so far
-    found: set[int] = field(default_factory=set)
+    def __init__(self, gp: GroundProgram):
+        symbols = gp.symbols
+        forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
+        live = [c for _, _, cands in symbols.groups for c in cands if c not in forbidden]
+        # [id]: the atom ids left open once that atom is chosen
+        allowed = self.allowed = [-1] * len(symbols.atom_of)
+        for route in gp.routes:
+            for a, partners in route.partners.items():
+                allowed[a] &= ~partners
+        # (lower, upper, candidates' atom-id mask)
+        groups = self.groups = [(lower, upper, sum(1 << c for c in cands))
+                                for lower, upper, cands in symbols.groups]
+        self.live = sum(1 << c for c in set(live))  # the candidates no constraint kills on its own
+        # [g]: the candidate masks of the groups after g
+        self.later = [[cands for _, _, cands in groups[g + 1:]] for g in range(len(groups))]
+        # [g]: the lower bounds of the groups after g
+        self.later_lowers = [[lower for lower, _, _ in groups[g + 1:]] for g in range(len(groups))]
+        # [g]: the candidates of group g and the groups after it
+        self.below = list(itertools.accumulate(reversed([cands for _, _, cands in groups]), int.__or__))[::-1]
+        self.atom_of = symbols.atom_of
+        self.facts = sum(1 << i for i in symbols.fact_ids)
+        # (head bit, pos mask, neg mask)
+        self.rules = [(1 << head, sum(1 << p for p in pos), sum(1 << q for q in neg))
+                      for head, pos, neg in symbols.rules]
+        # (pos mask, neg mask), checked on complete models; statements can
+        # share a constraint: check each once
+        self.deferred = list(dict.fromkeys((sum(1 << p for p in pos), sum(1 << q for q in neg))
+                                           for route in gp.routes for pos, neg in route.deferred))
+        # some live candidate can be true other than through its own group's selection
+        self.check_bounds = (len(live) != len(set(live))
+                             or not (symbols.derivable | symbols.fact_ids).isdisjoint(live))
+        # [g]: (count, record) of each searched state at group g by its open
+        # candidates, or None when a leaf can depend on more than its selection
+        self.memo = (None if self.rules or self.deferred or self.check_bounds or not groups
+                     else [{} for _ in groups])
+        self.cap = self.budget = 0
+        self.total = 0  # the models counted so far
+        self.found: set[int] = set()
 
     def run(self, cap: int) -> tuple[Models, bool]:
         self.cap, self.budget = cap, NODE_BUDGET
@@ -286,38 +304,6 @@ class _Search:
         self.total = len(self.found)
 
 
-def _search(gp: GroundProgram) -> _Search:
-    """Merge the routes of `gp`'s constraint statements over its symbols."""
-    symbols = gp.symbols
-    forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
-    live = [c for _, _, cands in symbols.groups for c in cands if c not in forbidden]
-    allowed = [-1] * len(symbols.atom_of)
-    for route in gp.routes:
-        for a, partners in route.partners.items():
-            allowed[a] &= ~partners
-    groups = [(lower, upper, sum(1 << c for c in cands)) for lower, upper, cands in symbols.groups]
-    rules = [(1 << head, sum(1 << p for p in pos), sum(1 << q for q in neg)) for head, pos, neg in symbols.rules]
-    # statements can share a constraint: check each once
-    deferred = list(dict.fromkeys((sum(1 << p for p in pos), sum(1 << q for q in neg))
-                                  for route in gp.routes for pos, neg in route.deferred))
-    check_bounds = (len(live) != len(set(live))
-                    or not (symbols.derivable | symbols.fact_ids).isdisjoint(live))
-    return _Search(
-        groups=groups,
-        live=sum(1 << c for c in set(live)),
-        allowed=allowed,
-        later=[[cands for _, _, cands in groups[g + 1:]] for g in range(len(groups))],
-        later_lowers=[[lower for lower, _, _ in groups[g + 1:]] for g in range(len(groups))],
-        below=list(itertools.accumulate(reversed([cands for _, _, cands in groups]), int.__or__))[::-1],
-        atom_of=symbols.atom_of,
-        facts=sum(1 << i for i in symbols.fact_ids),
-        rules=rules,
-        deferred=deferred,
-        check_bounds=check_bounds,
-        memo=None if rules or deferred or check_bounds or not groups else [{} for _ in groups],
-    )
-
-
 def _rule_closure(base: int, rules: list[tuple[int, int, int]], negative_against: int) -> int:
     """The least model of `base` and the reduct of `rules` by `negative_against`."""
     out = base
@@ -345,7 +331,7 @@ def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[Models, b
     """
     if any(route.always_violated for route in gp.routes):
         return Models(gp.symbols.atom_of, []), True
-    return _search(gp).run(cap)
+    return _Search(gp).run(cap)
 
 
 def brute_force_models(

@@ -267,7 +267,10 @@ def run_dfs(
         branch(Trajectory(instance_ref=instance.id), base_prompt, candidates, chosen, 0, "", 0)
     except GeneratorError as exc:
         logger.warning("datagen aborted for %s: %s", instance.id, exc)
-        return [], [], stats(aborted_reason=str(exc))
+        # the records so far are discarded, and the stats count what is returned
+        sft.clear()
+        pref.clear()
+        return sft, pref, stats(aborted_reason=str(exc))
     return sft, pref, stats()
 
 

@@ -136,7 +136,10 @@ class SolverGateway:
         if solver_cmd is None:
             solver_cmd = os.environ.get(SOLVER_CMD_ENV) or None
         if isinstance(solver_cmd, str):
-            solver_cmd = shlex.split(solver_cmd)
+            try:
+                solver_cmd = shlex.split(solver_cmd)
+            except ValueError as exc:
+                raise SolverConfigError(f"cannot split solver command {solver_cmd!r}: {exc}") from None
         self.solver_cmd = solver_cmd
         self.cap = _check_cap(cap)
         self.timeout = timeout

@@ -312,7 +312,7 @@ def assert_routes_match_the_reference(text):
         if isinstance(stmt, (Constraint, CardinalityRule)):
             keyed, route = ground._compile_statement(stmt, skeleton)
             routed = (route.always_violated, route.forbidden, route.partners, set(route.deferred))
-            assert routed == reference_route(keyed.values(), skeleton.program.symbols), stmt.source_text
+            assert routed == reference_route(keyed.values(), skeleton.symbols), stmt.source_text
 
 
 ROUTED = [
@@ -391,3 +391,30 @@ def test_join_source_holds_no_program_identifier(monkeypatch):
         program = identifiers(text) - {"_", "not"}
         for source in generated_sources(monkeypatch, text):
             assert not program & identifiers(source), source
+
+
+# --------------------------------------------------------------------------
+# Ground programs refer to their skeleton's compiled statements
+
+def test_the_same_text_grounded_cold_and_warm_compares_equal():
+    text = fixtures.reference_blocks("event_planning").full_program
+    ground._ground_skeleton.cache_clear()
+    cold = ground_program(statements(text))
+    warm = ground_program(statements(text))
+    assert warm is not cold
+    # the warm program shares the compiled statements instead of copying them
+    assert all(w is c for w, c in zip(warm.keyed, cold.keyed, strict=True))
+    assert warm == cold
+    assert [(c.pos, c.neg, c.source) for c in warm.constraints] == [
+        (c.pos, c.neg, c.source) for c in cold.constraints]
+
+
+@pytest.mark.parametrize("other", [
+    "{p; q; r}. :- p, r.",  # one constraint statement replaced
+    "{p; q; r}. :- p, q. :- q, r.",  # one added
+    "{p; q; r}.",  # the only one removed
+])
+def test_programs_that_differ_by_one_constraint_statement_compare_unequal(other):
+    text = "{p; q; r}. :- p, q."
+    assert ground_program(statements(text)) == ground_program(statements(text))
+    assert ground_program(statements(other)) != ground_program(statements(text))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import asploop
 from asploop import fixtures
+from asploop import gateway as gateway_mod
 from asploop.asp import (
     BruteForceRefusal,
     EnumerationBudgetError,
@@ -367,6 +369,34 @@ def test_warm_ground_equals_cold_ground():
         assert hash(ground_snapshot(text, models=True)) == cold[text], text
 
 
+def test_the_production_path_never_merges_constraints(monkeypatch):
+    merges = []
+    merge = ground.GroundProgram.__dict__["constraints"].func
+    counting = functools.cached_property(lambda gp: merges.append(1) or merge(gp))
+    counting.__set_name__(ground.GroundProgram, "constraints")
+    monkeypatch.setattr(ground.GroundProgram, "constraints", counting)
+    solved = []
+
+    def recording(statements):
+        solved.append(ground_program(statements))
+        return solved[-1]
+
+    monkeypatch.setattr(gateway_mod, "ground_program", recording)
+    gateway_mod._solve_in_process.cache_clear()
+    _ground_skeleton.cache_clear()
+    programs = reference_prefixes()
+    for text in programs:
+        assert not SolverGateway().solve(text).has_error, text
+    assert len(solved) == len(programs) == 41
+    assert merges == []
+    # read afterwards, each list is a cold ground's
+    for text, gp in zip(programs, solved):
+        _ground_skeleton.cache_clear()
+        cold = grounded(text).constraints
+        assert [(c.pos, c.neg, c.source) for c in gp.constraints] == [(c.pos, c.neg, c.source) for c in cold], text
+    assert len(merges) == 2 * len(programs)
+
+
 def test_threads_sharing_the_skeleton_cache_get_the_cold_result():
     programs = reference_prefixes(["event_planning", "chess_club"])
     cold = {}
@@ -655,7 +685,7 @@ def test_a_constraint_two_statements_share_is_checked_once():
     gp = grounded("{p; q}. r :- p. :- r, q. :- q, r.")
     assert len(gp.constraints) == 1
     assert len(gp.routes) == 2
-    assert len(solve._search(gp).deferred) == 1
+    assert len(solve._Search(gp).deferred) == 1
     assert models_of("{p; q}. r :- p. :- r, q. :- q, r.") == {frozenset(), frozenset({"p", "r"}), frozenset({"q"})}
 
 
@@ -1028,7 +1058,7 @@ def test_memoized_search_matches_the_reference_search(text, cap):
 @given(search_programs(memo=True, space=512))
 def test_memoized_count_agrees_with_the_oracle(text):
     gp = grounded(text)
-    assert solve._search(gp).memo is not None
+    assert solve._Search(gp).memo is not None
     models, exhausted = enumerate_models(gp)
     oracle = brute_force_models(gp)
     assert exhausted
@@ -1041,7 +1071,7 @@ def test_the_memo_searches_each_state_once():
     # twice. The root, the first group's 3 selections, 2 in each of the
     # second group's 3 states and 1 in each last state: 13 nodes, where the
     # search without the memo visits each last state twice, 16 nodes
-    search = solve._search(grounded(ALL_DIFFERENT))
+    search = solve._Search(grounded(ALL_DIFFERENT))
     assert search.run(1_000_000)[0] == brute_force_models(grounded(ALL_DIFFERENT))
     assert solve.NODE_BUDGET - search.budget == 13
     reference = reference_search(grounded(ALL_DIFFERENT))

@@ -381,6 +381,30 @@ def test_bad_numbers_are_usage_errors(tmp_path, event_dataset, program, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "environment"])
+@pytest.mark.parametrize("command", ["solve", "datagen", "search", "eval"])
+def test_a_malformed_solver_command_is_a_usage_error(tmp_path, event_dataset, program, capsys, monkeypatch,
+                                                     command, from_env):
+    bad = 'python3 "x'
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", program(GOLDEN)]
+    else:
+        fixture = "datagen_splits" if command == "datagen" else "search_e2e"
+        argv = [command, "--dataset", event_dataset, "--out", str(out),
+                "--generator-fixture", str(fixtures.scripted_path(fixture))]
+    if from_env:
+        monkeypatch.setenv("ASPLOOP_SOLVER_CMD", bad)
+    else:
+        argv += ["--solver-cmd", bad]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("asploop: ") and captured.err.count("\n") == 1
+    assert repr(bad) in captured.err
+    assert not out.exists()
+
+
 # the input that cannot be read, and how reading it fails; a dataset entry
 # of the wrong shape is refused the same way
 UNREADABLE = {

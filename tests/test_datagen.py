@@ -17,7 +17,7 @@ from asploop.datagen import (
     run_dfs,
     target_predicate_for,
 )
-from asploop.generators import ScriptedGenerator
+from asploop.generators import GeneratorError, ScriptedGenerator
 from asploop.trajectory import CandidateEncoding, Step, Trajectory, build_base_prompt
 
 EXPECTED_STEP_ROWS = [
@@ -268,3 +268,25 @@ def test_dfs_aborts_on_unusable_base(gateway):
     assert sft == []
     assert pref == []
     assert stats["aborted_reason"]
+
+
+def test_dfs_stats_count_no_records_after_a_generator_failure(gateway):
+    instance = fixtures.puzzle("event_planning")
+    scripted = ScriptedGenerator(fixtures.scripted_path("datagen_splits"))
+
+    class FailsOnFifthCall:
+        name = "fails-on-fifth-call"
+        calls = 0
+
+        def complete(self, prompt, n, temperature):
+            self.calls += 1
+            if self.calls == 5:
+                raise GeneratorError("backend went away")
+            return scripted.complete(prompt, n, temperature)
+
+    sft, pref, stats = run_dfs(instance, FailsOnFifthCall(), DfsConfig(), gateway)
+    assert (sft, pref) == ([], [])
+    assert (stats["sft_records"], stats["pref_records"]) == (0, 0)
+    assert stats["aborted_reason"] == "backend went away"
+    # the rows of the steps walked before the failure are kept
+    assert len(stats["steps"]) == 4

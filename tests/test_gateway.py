@@ -91,6 +91,14 @@ def test_env_var_supplies_the_command(monkeypatch):
     assert gateway.solve(GOLDEN).flagless
 
 
+@pytest.mark.parametrize("from_env", [False, True], ids=["argument", "environment"])
+def test_a_malformed_solver_command_is_a_config_error(monkeypatch, from_env):
+    bad = 'python3 "x'
+    monkeypatch.setenv("ASPLOOP_SOLVER_CMD", bad if from_env else REFSOLVER_CMD_STR)
+    with pytest.raises(SolverConfigError, match="solver command 'python3 \"x'"):
+        SolverGateway(backend="auto", solver_cmd=None if from_env else bad)
+
+
 def test_auto_backend_without_command_runs_in_process(monkeypatch):
     monkeypatch.delenv("ASPLOOP_SOLVER_CMD", raising=False)
     gateway = SolverGateway(backend="auto")
