@@ -52,11 +52,12 @@ raises UnsupportedProgram. Rules grow an index to GROUND_ATOM_BUDGET at most.
 The Fact, Rule and Choice statements are grounded once per content and the
 last result kept (`_ground_skeleton`), their atoms interned to ints for the
 enumerator (`Symbols`). Each constraint statement is compiled against it
-once (`_compile_statement`): its ground constraints, keyed for
-deduplication, and their `Route` over the interned atoms. Candidates adding
-constraints to one prefix share all of it: a ground program refers to its
-statements' compiled forms, the enumerator merges their routes, and their
-ground constraints are merged only when read (`GroundProgram.constraints`).
+once (`_compile_statement`): its ground constraints as (pos, neg) pairs,
+keyed for deduplication, and their `Route` over the interned atoms, filed
+as the join stores each key (`_Router`). Candidates adding constraints to
+one prefix share all of it: a ground program refers to its statements'
+compiled forms, the enumerator merges their routes, and their ground
+constraints are merged and built only when read (`Constraints`).
 """
 
 from __future__ import annotations
@@ -140,9 +141,11 @@ class Symbols:
     and rules over them, for the enumerator. Built once per skeleton and
     never changed after, so threads share it. Facts, choice candidates and
     rule atoms are interned; any other atom is false in every model. Ids
-    follow `ground_atom_key` order, so sorting ids sorts their atoms."""
+    follow `ground_atom_key` order, so sorting ids sorts their atoms.
+    `special` holds the fact and derivable ids, and None, which `id_get`
+    gives an uninterned atom: a constraint on them is routed atom by atom."""
 
-    __slots__ = ("atom_of", "id_of", "fact_ids", "groups", "rules", "derivable")
+    __slots__ = ("atom_of", "id_of", "fact_ids", "groups", "rules", "derivable", "special")
 
     def __init__(self, facts, choices: list[GroundChoice], rules: list[GroundRule]):
         atoms = dict.fromkeys(itertools.chain(
@@ -156,6 +159,7 @@ class Symbols:
             for r in rules
         ]
         self.derivable = frozenset(head for head, _, _ in self.rules)
+        self.special = self.fact_ids | self.derivable | {None}
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,8 @@ class Route:
     a selection makes true prune during search: a dead candidate
     (`forbidden`) or a forbidden pair (`partners`: for an atom id, the
     int bitmask of the atom ids it cannot be true with). The rest is
-    checked on complete models (`deferred`)."""
+    checked on complete models (`deferred`). The statement's join files
+    each constraint as it stores a new dedup key (`_Router`)."""
 
     always_violated: bool
     forbidden: frozenset[int]
@@ -176,32 +181,57 @@ class Route:
     deferred: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
+class Constraints:
+    """A ground program's constraints, iterable: each dedup key's first
+    (pos, neg) across its constraint statements, in order, as a
+    GroundConstraint with its statement's source; `ends` holds len(pairs)
+    once each statement's pairs are merged. The length builds none; the
+    first iteration builds them all."""
+
+    def __init__(self, pairs: dict[tuple, tuple], ends: list[int], sources: tuple[str, ...]):
+        self._pairs, self._ends, self._sources = pairs, ends, sources
+        self._built: list[GroundConstraint] | None = None
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __iter__(self):
+        if self._built is None:
+            pairs = list(self._pairs.values())
+            self._built = [GroundConstraint(pos, neg, source) for start, end, source in zip(
+                [0, *self._ends], self._ends, self._sources) for pos, neg in pairs[start:end]]
+        return iter(self._built)
+
+
 @dataclass
 class GroundProgram:
     """A ground program that refers to its skeleton's facts, choices, rules
     and possible atoms, and to each constraint statement's compiled form, in
-    program order: its ground constraints by dedup key (`keyed`) and their
-    route (`routes`), which is all the enumerator reads. `constraints`, each
-    dedup key's first ground constraint across statements, is merged on read."""
+    program order: its ground constraints as (pos, neg) by dedup key
+    (`keyed`) and their route (`routes`), which is all the enumerator reads.
+    `constraints` is merged across statements on read (`Constraints`)."""
 
     facts: frozenset[GroundAtom]
     choices: list[GroundChoice]
     rules: list[GroundRule]
     possible: frozenset[GroundAtom]
-    keyed: tuple[dict[tuple, GroundConstraint], ...]
+    keyed: tuple[dict[tuple, tuple], ...]
+    sources: tuple[str, ...] = field(compare=False, repr=False)  # each constraint statement's text
     # the enumerator's view, shared with the skeleton: its interned atoms and
     # the route of each constraint statement, in program order
     symbols: Symbols = field(compare=False, repr=False)
     routes: tuple[Route, ...] = field(compare=False, repr=False)
 
     @functools.cached_property
-    def constraints(self) -> list[GroundConstraint]:
+    def constraints(self) -> Constraints:
         # copying the first statement's dict keeps its keys' stored hashes
         merged = dict(self.keyed[0]) if self.keyed else {}
+        ends = [len(merged)]
         for keyed in self.keyed[1:]:
-            for dedup_key, cons in keyed.items():
-                merged.setdefault(dedup_key, cons)
-        return list(merged.values())
+            for dedup_key, pair in keyed.items():
+                merged.setdefault(dedup_key, pair)
+            ends.append(len(merged))
+        return Constraints(merged, ends, self.sources)
 
     @property
     def choice_candidate_count(self) -> int:
@@ -613,12 +643,12 @@ def _rule_instances(plan: _Plan) -> Callable:
 
 
 def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Callable:
-    """join(by_pred, base, id_of, out): a constraint's instances, or a
+    """join(by_pred, base, out, router): a constraint's instances, or a
     cardinality-equality head's instances whose count is off, over the
     possible atoms `by_pred` that can still fire, resolved against the base
-    atoms: each one's GroundConstraint added to `out` under its dedup key
-    (`_dedup_key`) unless it is there. A symmetric statement joins one match
-    of each mirrored pair (`_mirror`)."""
+    atoms: each one's (pos, neg) added to `out` under its dedup key
+    (`_dedup_key`) unless it is there, and then filed in `router`. A
+    symmetric statement joins one match of each mirrored pair (`_mirror`)."""
     elements = () if isinstance(stmt, Constraint) else stmt.elements
     for el in elements:
         _require_bound((el.lhs, el.rhs), set(plan.variables), plan.source)
@@ -631,6 +661,9 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
     pos, neg = join.residue()
     if elements:
         _count(join, stmt)
+    # a new key is stored and then filed: one or two atom ids inline when
+    # `fast` holds, anything else through `file`
+    fast = filed = ""
     if not inline:
         join.distinct("pos", pos, "is not")
         join.distinct("neg", neg, "!=")
@@ -641,6 +674,7 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
         join.emit("neg = ()")
         a, i = f"a{dep[0]}", f"i{dep[0]}"
         one = [f"pos = ({a},)", f"key = ({i},) if {i} is not None else (frozenset(pos), frozenset(neg))"]
+        fast, filed = f"{i} not in special", f"forbidden.add({i})"
         if len(dep) == 1:
             for line in one:
                 join.emit(line)
@@ -654,9 +688,16 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
             join.emit(f"    pos = ({a}, {b})")
             join.emit(f"    key = ((frozenset(pos), frozenset(neg)) if {i} is None or {j} is None"
                       f" else ({i}, {j}) if {i} < {j} else ({j}, {i}))")
+            fast = f"{b} is not {a} and {i} not in special and {j} not in special"
+            filed = f"partners[{i}] = partner({i}, 0) | 1 << {j}; partners[{j}] = partner({j}, 0) | 1 << {i}"
     join.emit("if key not in out:")
-    join.emit("    out[key] = GroundConstraint(pos, neg, source)")
-    return join.function("by_pred, base, id_of, out", ("id_get = id_of.get",))
+    join.emit("    out[key] = pos, neg")
+    if fast:
+        join.emit(f"    if {fast}: {filed}")
+    join.emit(f"    {'else: ' if fast else ''}file(key, pos, neg)")
+    return join.function("by_pred, base, out, router", (
+        "id_of, special = router.symbols.id_of, router.symbols.special", "id_get, file = id_of.get, router.file",
+        "forbidden, partners, partner = router.forbidden, router.partners, router.partners.get"))
 
 
 def _count(join: _Join, stmt: CardinalityRule) -> None:
@@ -823,17 +864,17 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
     skeleton = _ground_skeleton(tuple(
         (stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Fact, Rule, Choice))
     ))
-    compiled: list[tuple[dict[tuple, GroundConstraint], Route]] = []
-    for stmt in statements:
-        if isinstance(stmt, (Constraint, CardinalityRule)):
-            key = (stmt, stmt.source_text)
-            entry = skeleton.constraints.get(key)
-            if entry is None:
-                # errors are not stored; threads racing here store equal entries
-                entry = skeleton.constraints[key] = _compile_statement(stmt, skeleton)
-            compiled.append(entry)
+    keys = [(stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Constraint, CardinalityRule))]
+    compiled: list[tuple[dict[tuple, tuple], Route]] = []
+    for key in keys:
+        entry = skeleton.constraints.get(key)
+        if entry is None:
+            # errors are not stored; threads racing here store equal entries
+            entry = skeleton.constraints[key] = _compile_statement(key[0], skeleton)
+        compiled.append(entry)
     return GroundProgram(skeleton.facts, skeleton.choices, skeleton.rules, skeleton.possible,
-                         tuple(keyed for keyed, _ in compiled), skeleton.symbols, tuple(r for _, r in compiled))
+                         tuple(keyed for keyed, _ in compiled), tuple(source for _, source in keys),
+                         skeleton.symbols, tuple(r for _, r in compiled))
 
 
 @dataclass
@@ -841,8 +882,9 @@ class _Skeleton:
     """Fact, Rule and Choice statements grounded, their atoms interned
     (`symbols`), what constraint statements are grounded against, and each
     one's compiled form so far, keyed by (statement, source text): its
-    ground constraints by dedup key, in order, and their route. Ground
-    programs share all of it, so none of it changes once stored."""
+    ground constraints as (pos, neg) by dedup key, in order, and their
+    route. Ground programs share all of it, so none of it changes once
+    stored."""
 
     facts: frozenset[GroundAtom]
     choices: list[GroundChoice]
@@ -852,7 +894,7 @@ class _Skeleton:
     dependent: set[tuple[str, int]]
     base: set[GroundAtom]  # the atoms true in every model
     by_pred: dict[tuple[str, int], list[GroundAtom]]  # the possible atoms by predicate
-    constraints: dict[tuple[Statement, str], tuple[dict[tuple, GroundConstraint], Route]] = field(
+    constraints: dict[tuple[Statement, str], tuple[dict[tuple, tuple], Route]] = field(
         default_factory=dict)
 
 
@@ -928,54 +970,50 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
 
 def _compile_statement(stmt: Constraint | CardinalityRule, skeleton: _Skeleton):
     """A constraint's instances, or a cardinality-equality head's instances
-    whose count is off, as ground constraints in order, each keyed by its
+    whose count is off, as (pos, neg) pairs in order, each keyed by its
     dedup key (pos and neg as sets), so each pair of sets comes once; and
-    their route."""
+    their route, filed by the join as it stores each key."""
     plan = _Plan(stmt.body, skeleton.dependent, stmt.source_text)
-    keyed: dict[tuple, GroundConstraint] = {}
-    _constraint_instances(stmt, plan)(skeleton.by_pred, skeleton.base, skeleton.symbols.id_of, keyed)
-    return keyed, _route(keyed, skeleton.symbols)
+    keyed: dict[tuple, tuple] = {}
+    router = _Router(skeleton.symbols)
+    _constraint_instances(stmt, plan)(skeleton.by_pred, skeleton.base, keyed, router)
+    return keyed, Route(router.always_violated, frozenset(router.forbidden), router.partners, tuple(router.deferred))
 
 
-def _route(keyed: dict[tuple, GroundConstraint], symbols: Symbols) -> Route:
-    """Route ground constraints, given by their dedup keys, as `Route`
-    says. An id key lists the constraint's atom ids; only one keyed by its
-    sets, which holds an atom the skeleton did not intern, is read atom by
-    atom. Reads `symbols` only."""
-    id_of = symbols.id_of
-    fact_ids = symbols.fact_ids
-    derivable = symbols.derivable
-    always_violated = False
-    forbidden: set[int] = set()
-    partners: dict[int, int] = {}
-    deferred: list[tuple[frozenset[int], frozenset[int]]] = []
-    for key, cons in keyed.items():
+class _Router:
+    """One constraint statement's `Route`, filed by its join as it stores
+    each new dedup key: a lone atom id or a pair of them inline, unless one
+    is in `Symbols.special`, and any other key through `file`."""
+
+    def __init__(self, symbols: Symbols):
+        self.symbols = symbols
+        self.always_violated = False
+        self.forbidden, self.partners, self.deferred = set(), {}, []
+
+    def file(self, key: tuple, pos: tuple[GroundAtom, ...], neg: tuple[GroundAtom, ...]) -> None:
+        """Route one ground constraint by its dedup key, as `Route` says: an
+        id key lists its atom ids, a negated one as ~id; only one keyed by
+        its sets, which holds an atom the skeleton did not intern, is read
+        atom by atom."""
+        id_of, fact_ids = self.symbols.id_of, self.symbols.fact_ids
         if key and isinstance(key[0], frozenset):
-            if not all(a in id_of for a in cons.pos):
-                continue
-            key = sorted([id_of[a] for a in cons.pos] + [~id_of[a] for a in cons.neg if a in id_of])
-        neg = ()
-        if key and key[0] < 0:
-            # sorted: the negated atoms, as ~id, come first
-            neg = [~k for k in key if k < 0]
-            if not fact_ids.isdisjoint(neg):
-                continue
-            pos = [k for k in key if k >= 0 and k not in fact_ids]
-        elif fact_ids.isdisjoint(key):
-            pos = key
-        else:
-            pos = [k for k in key if k not in fact_ids]
+            if not all(a in id_of for a in pos):
+                return
+            key = [id_of[a] for a in pos] + [~id_of[a] for a in neg if a in id_of]
+        neg = [~k for k in key if k < 0]
+        if not fact_ids.isdisjoint(neg):
+            return
+        pos = [k for k in key if k >= 0 and k not in fact_ids]
         if not pos and not neg:
-            always_violated = True
-        elif neg or len(pos) > 2 or not derivable.isdisjoint(pos):
-            deferred.append((frozenset(pos), frozenset(neg)))
+            self.always_violated = True
+        elif neg or len(pos) > 2 or not self.symbols.derivable.isdisjoint(pos):
+            self.deferred.append((frozenset(pos), frozenset(neg)))
         elif len(pos) == 1:
-            forbidden.add(pos[0])
+            self.forbidden.add(pos[0])
         else:
             a, b = pos
-            partners[a] = partners.get(a, 0) | 1 << b
-            partners[b] = partners.get(b, 0) | 1 << a
-    return Route(always_violated, frozenset(forbidden), partners, tuple(deferred))
+            self.partners[a] = self.partners.get(a, 0) | 1 << b
+            self.partners[b] = self.partners.get(b, 0) | 1 << a
 
 
 def _dedup_key(pos, neg, id_of: dict[GroundAtom, int]) -> tuple:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import io
 import itertools
+import json
 import tokenize
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,17 +278,18 @@ def test_elements_that_instantiate_alike_count_once(elements, count):
 # Routing from dedup keys
 
 def reference_route(constraints, symbols):
-    """Route ground constraints atom by atom, as `ground.Route` says."""
+    """Route ground constraints, given as (pos, neg) pairs, atom by atom, as
+    `ground.Route` says."""
     id_of = symbols.id_of
     always_violated = False
     forbidden, partners, deferred = set(), {}, set()
     for cons in constraints:
-        if not all(a in id_of for a in cons.pos):
+        if not all(a in id_of for a in cons[0]):
             continue
-        neg = [id_of[a] for a in cons.neg if a in id_of]
+        neg = [id_of[a] for a in cons[1] if a in id_of]
         if any(n in symbols.fact_ids for n in neg):
             continue
-        pos = [id_of[a] for a in cons.pos if id_of[a] not in symbols.fact_ids]
+        pos = [id_of[a] for a in cons[0] if id_of[a] not in symbols.fact_ids]
         if not pos and not neg:
             always_violated = True
         elif neg or len(pos) > 2 or not symbols.derivable.isdisjoint(pos):
@@ -302,17 +305,29 @@ def reference_route(constraints, symbols):
 
 
 def assert_routes_match_the_reference(text):
+    """Check the route of each constraint statement of `text` that grounds
+    against `reference_route`, and return how many were checked."""
     stmts = statements(text)
     try:
         skeleton = ground._ground_skeleton(tuple(
             (s, s.source_text) for s in stmts if isinstance(s, (Fact, Rule, Choice))))
     except GroundingError:
-        return
+        return 0
+    checked = 0
     for stmt in stmts:
         if isinstance(stmt, (Constraint, CardinalityRule)):
-            keyed, route = ground._compile_statement(stmt, skeleton)
+            try:
+                keyed, route = ground._compile_statement(stmt, skeleton)
+            except GroundingError:
+                continue
             routed = (route.always_violated, route.forbidden, route.partners, set(route.deferred))
             assert routed == reference_route(keyed.values(), skeleton.symbols), stmt.source_text
+            checked += 1
+    return checked
+
+
+def constraint_statements(text):
+    return sum(isinstance(s, (Constraint, CardinalityRule)) for s in statements(text))
 
 
 ROUTED = [
@@ -326,12 +341,28 @@ ROUTED = [
 
 @pytest.mark.parametrize("text", ROUTED, ids=[f"case{i}" for i in range(len(ROUTED))])
 def test_routes_from_dedup_keys_match_routing_atom_by_atom(text):
-    assert_routes_match_the_reference(text)
+    assert assert_routes_match_the_reference(text) == constraint_statements(text)
 
 
 def test_puzzle_routes_match_routing_atom_by_atom():
     for instance in ("tattoo_parlor", "event_planning"):
-        assert_routes_match_the_reference(fixtures.reference_blocks(instance).full_program)
+        text = fixtures.reference_blocks(instance).full_program
+        assert assert_routes_match_the_reference(text) == constraint_statements(text)
+
+
+def test_routes_of_random_programs_and_reference_prefixes_match_routing_atom_by_atom():
+    # the random programs route derivable atoms, constraints keyed by their
+    # sets and the same atom at both levels of a pair; ROUTED above routes
+    # facts inside a pair
+    pinned = json.loads(Path(__file__).with_name("ground_random.json").read_text(encoding="utf-8"))
+    assert sum(assert_routes_match_the_reference(text) for text, _ in pinned) == 218
+    prefixes = []
+    for instance in fixtures.puzzles():
+        blocks = fixtures.reference_blocks(instance.id)
+        prefixes += ["\n\n".join((blocks.base, *blocks.hints[:k])) for k in range(len(blocks.hints) + 1)]
+    assert len(prefixes) == 41
+    for text in prefixes:
+        assert assert_routes_match_the_reference(text) == constraint_statements(text), text
 
 
 # --------------------------------------------------------------------------

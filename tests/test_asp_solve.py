@@ -375,6 +375,9 @@ def test_the_production_path_never_merges_constraints(monkeypatch):
     counting = functools.cached_property(lambda gp: merges.append(1) or merge(gp))
     counting.__set_name__(ground.GroundProgram, "constraints")
     monkeypatch.setattr(ground.GroundProgram, "constraints", counting)
+    built = []
+    init = ground.GroundConstraint.__init__
+    monkeypatch.setattr(ground.GroundConstraint, "__init__", lambda cons, *args: built.append(1) or init(cons, *args))
     solved = []
 
     def recording(statements):
@@ -389,12 +392,20 @@ def test_the_production_path_never_merges_constraints(monkeypatch):
         assert not SolverGateway().solve(text).has_error, text
     assert len(solved) == len(programs) == 41
     assert merges == []
+    assert built == []
+    # the length, which traced benchmark runs read after every ground, merges
+    # but builds no GroundConstraint
+    lengths = [len(gp.constraints) for gp in solved]
+    assert len(merges) == len(programs)
+    assert built == []
     # read afterwards, each list is a cold ground's
-    for text, gp in zip(programs, solved):
+    for text, gp, length in zip(programs, solved, lengths):
         _ground_skeleton.cache_clear()
         cold = grounded(text).constraints
         assert [(c.pos, c.neg, c.source) for c in gp.constraints] == [(c.pos, c.neg, c.source) for c in cold], text
+        assert length == len(cold)
     assert len(merges) == 2 * len(programs)
+    assert len(built) == 2 * sum(lengths)
 
 
 def test_threads_sharing_the_skeleton_cache_get_the_cold_result():
