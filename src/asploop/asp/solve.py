@@ -106,6 +106,10 @@ class Models(Sequence):
             self._sorted = True
         return self._masks
 
+    # read-only: the skeleton's atom of each id, and the masks in model order
+    atom_of = property(lambda self: self._atom_of)
+    masks = property(_ordered)
+
     def _atoms(self, mask: int) -> frozenset[GroundAtom]:
         atom_of = self._atom_of
         return frozenset([atom_of[i] for i in _ids(mask)])

@@ -99,12 +99,18 @@ def target_predicate_for(base_text: str) -> str | None:
 
 
 def _matches_ground_truth(verdict, instance, predicate, truth) -> bool:
-    for model in verdict.models:
-        try:
-            if match_solution(model, instance, predicate, truth).matched:
-                return True
-        except ValueError:
-            continue
+    """Whether some model matches, each distinct model key once per `truth`."""
+    truth = truth or GroundTruth(instance)
+    for i, key in enumerate(truth.model_keys(verdict.models, predicate)):
+        matched = truth.members.get(key)
+        if matched is None:
+            try:  # a wrong arity does not match
+                matched = match_solution(verdict.models[i], instance, predicate, truth).matched
+            except ValueError:
+                matched = False
+            truth.members[key] = matched
+        if matched:
+            return True
     return False
 
 
@@ -119,8 +125,8 @@ def classify(
 ) -> str:
     """Label one hint-step candidate: chosen iff the partial program solves
     without flags and the ground truth is still among its models. `truth`
-    is the instance's `GroundTruth`, shared across one run's candidates.
-    """
+    is the instance's `GroundTruth`, shared across one run's candidates;
+    without it, one is built for this call."""
     verdict = candidate.verdict = gateway.solve(combine(trajectory, candidate), cap=cap)
     matched = verdict.flagless and _matches_ground_truth(
         verdict, instance, target_predicate, truth

@@ -16,8 +16,9 @@ sorted by (edit distance, not-contained, item); each pair's distance is
 computed once, when the model item is first met. A model is then matched in
 one pass: each ground-truth item walks its ranking only to the first tier
 that holds an item of the model. Datagen builds one `GroundTruth` per
-`run_dfs` and passes it to every `match_solution` call; nothing else here
-caches across calls.
+`run_dfs`, passes it to every `match_solution` call, and keeps in it
+whether each distinct model matched (`GroundTruth.members`); nothing else
+here caches across calls.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .asp import GroundAtom
+from .asp.solve import Models
 from .asp.syntax import render_ground_value
 from .puzzles import PuzzleInstance
 
@@ -203,9 +205,11 @@ class GroundTruth:
     atom's row of argument surfaces, rendered when the atom is first met.
     `vocabulary` is the Levenshtein stage's `Vocabulary` of `rows`:
     for each ground-truth item, the model items met so far, ranked by
-    (edit distance, not-contained, item). Both grow with the distinct atoms
-    and items met, so a `GroundTruth` should live as long as one batch of
-    matching, not longer.
+    (edit distance, not-contained, item). `members` maps a model's key
+    (`model_keys`: its atoms of the target predicate, all `match_solution`
+    reads once the predicate is fixed) to whether it matched. All grow
+    with the distinct atoms, items, models and skeletons met, so a
+    `GroundTruth` should live as long as one batch of matching, not longer.
     """
 
     def __init__(self, instance: PuzzleInstance):
@@ -217,6 +221,22 @@ class GroundTruth:
             self.exact.setdefault(frozenset(permuted), permuted)
         self.surfaces: dict[GroundAtom, tuple[str, ...]] = {}
         self.vocabulary = Vocabulary(self.rows)
+        self.members: dict = {}  # model key -> matched
+        self._lists: dict = {}  # (id(atom_of), predicate) -> (atom_of, predicate mask)
+
+    def model_keys(self, models, predicate: str | None):
+        """Each model's key in `members`, in order, reading no model: its
+        atoms of `predicate` (all of them when None) as a mask over a
+        `Models`' atom list, whose ids are per skeleton, else a frozenset."""
+        if not isinstance(models, Models):
+            return ((predicate, model if predicate is None else frozenset(
+                a for a in model if a.pred == predicate)) for model in models)
+        slot = (id(models.atom_of), predicate)
+        if slot not in self._lists:  # holding the list keeps its id from being reused
+            self._lists[slot] = models.atom_of, -1 if predicate is None else sum(
+                1 << i for i, atom in enumerate(models.atom_of) if atom.pred == predicate)
+        keep = self._lists[slot][1]
+        return ((slot, mask & keep) for mask in models.masks)
 
 
 def _pick_predicate(model, arity: int) -> str | None:

@@ -4,7 +4,8 @@ import statistics
 
 import pytest
 
-from asploop import fixtures, matching
+from asploop import datagen, fixtures, matching
+from asploop.asp.solve import Models
 from asploop.datagen import (
     DfsConfig,
     PreferenceRecord,
@@ -17,8 +18,12 @@ from asploop.datagen import (
     run_dfs,
     target_predicate_for,
 )
+from asploop.gateway import SolverGateway
 from asploop.generators import GeneratorError, ScriptedGenerator
+from asploop.matching import GroundTruth, match_solution
 from asploop.trajectory import CandidateEncoding, Step, Trajectory, build_base_prompt
+
+from conftest import REFSOLVER_CMD
 
 EXPECTED_STEP_ROWS = [
     (0, "", None, 2, 3),
@@ -290,3 +295,185 @@ def test_dfs_stats_count_no_records_after_a_generator_failure(gateway):
     assert stats["aborted_reason"] == "backend went away"
     # the rows of the steps walked before the failure are kept
     assert len(stats["steps"]) == 4
+
+
+def fresh_member(model, instance, predicate) -> bool:
+    """A fresh match of one model; a wrong arity reads as not matched."""
+    try:
+        return match_solution(model, instance, predicate).matched
+    except ValueError:
+        return False
+
+
+def reference_label(verdict, instance, predicate) -> str:
+    """classify's label from a fresh match of every model."""
+    matched = verdict.flagless and any(
+        fresh_member(model, instance, predicate) for model in verdict.models
+    )
+    return "chosen" if matched else "rejected"
+
+
+def on_base(instance, base_text: str) -> Trajectory:
+    trajectory = Trajectory(instance_ref=instance.id)
+    step = Step(input_text=build_base_prompt(instance))
+    step.candidates.append(CandidateEncoding(text=base_text))
+    step.selected_index = 0
+    trajectory.steps.append(step)
+    return trajectory
+
+
+def counted_matches(monkeypatch) -> list:
+    """Record the model of every call to `datagen.match_solution`."""
+    calls = []
+    match = datagen.match_solution
+
+    def counted(model, *rest):
+        calls.append(model)
+        return match(model, *rest)
+
+    monkeypatch.setattr(datagen, "match_solution", counted)
+    return calls
+
+
+def test_dfs_labels_equal_a_fresh_match_of_every_model(gateway, monkeypatch):
+    seen = []
+    classify_once = datagen.classify
+
+    def recording(candidate, trajectory, instance, cap, gateway, predicate=None, truth=None):
+        label = classify_once(candidate, trajectory, instance, cap, gateway, predicate, truth)
+        seen.append((label, reference_label(candidate.verdict, instance, predicate)))
+        return label
+
+    monkeypatch.setattr(datagen, "classify", recording)
+    instance = fixtures.puzzle("event_planning")
+    generator = ScriptedGenerator(fixtures.scripted_path("datagen_splits"))
+    sft, pref, _ = run_dfs(instance, generator, DfsConfig(), gateway)
+    assert (len(sft), len(pref)) == (25, 54)
+    labels, references = zip(*seen)
+    assert labels == references
+    assert {"chosen", "rejected"} == set(labels)
+
+
+# event_planning's solution as facts, and the same with two planners swapped:
+# one atom list each, the same ids and masks, different atoms
+EVENT_ROWS = [("anniversary", "susan", 75), ("birthday", "joel", 100),
+              ("graduation", "teresa", 125), ("wedding", "herbert", 50)]
+EVENT_SWAPPED = [("anniversary", "joel", 75), ("birthday", "susan", 100),
+                 ("graduation", "teresa", 125), ("wedding", "herbert", 50)]
+
+
+def as_facts(rows) -> str:
+    return " ".join(f"assignment({e}, {p}, {a})." for e, p, a in rows)
+
+
+@pytest.mark.parametrize("predicate", ["assignment", None])
+@pytest.mark.parametrize("backend", ["internal", "external"])
+def test_one_ground_truth_labels_every_skeleton_as_a_fresh_match(backend, predicate):
+    gateway = SolverGateway(backend=backend, solver_cmd=REFSOLVER_CMD)
+    instance = fixtures.puzzle("event_planning")
+    reference = fixtures.reference_blocks("event_planning")
+    cap = classification_cap(instance, None)
+    truth = GroundTruth(instance)
+    prefix = "\n\n".join((reference.base, *reference.hints[:2]))  # 18 models
+    kill = ":- assignment(wedding, herbert, 50)."
+    # each hint after the first adds a fact or a choice, so new atom ids
+    cases = [
+        (prefix, reference.hints[2], "chosen"),
+        (prefix, f"extra. {kill}", "rejected"),
+        (prefix, "{extra}.", "chosen"),
+        (prefix, f"{{extra}}. {kill}", "rejected"),
+        (prefix, "extra.", "chosen"),
+        (as_facts(EVENT_ROWS), "", "chosen"),
+        (as_facts(EVENT_SWAPPED), "", "rejected"),
+        (as_facts(EVENT_ROWS), "", "chosen"),
+    ]
+    for base, hint, want in cases:
+        candidate = CandidateEncoding(text=hint)
+        trajectory = on_base(instance, base)
+        label = classify(candidate, trajectory, instance, cap, gateway, predicate, truth)
+        assert label == reference_label(candidate.verdict, instance, predicate) == want, hint
+        assert isinstance(candidate.verdict.models, Models) == (backend == "internal")
+
+
+def test_a_wrong_arity_model_is_rejected_on_every_read(gateway, monkeypatch):
+    calls = counted_matches(monkeypatch)
+    instance = fixtures.puzzle("event_planning")
+    cap = classification_cap(instance, None)
+    trajectory = on_base(instance, "assignment(a, b).")
+    truth = GroundTruth(instance)
+    for shared in (truth, truth, None):
+        candidate = CandidateEncoding(text="")
+        assert classify(candidate, trajectory, instance, cap, gateway, "assignment", shared) == "rejected"
+    assert len(calls) == 2  # once for the shared truth, once for classify's own
+
+
+@pytest.mark.parametrize("predicate, matches", [("assignment", 1), (None, 2)])
+def test_models_with_the_same_target_atoms_are_matched_once(gateway, monkeypatch,
+                                                            predicate, matches):
+    calls = counted_matches(monkeypatch)
+    instance = fixtures.puzzle("event_planning")
+    cap = classification_cap(instance, None)
+    candidate = CandidateEncoding(text="{other}.")
+    trajectory = on_base(instance, "assignment(a, b, c).")
+    assert classify(candidate, trajectory, instance, cap, gateway, predicate) == "rejected"
+    assert candidate.verdict.model_count == 2
+    assert len(calls) == matches
+
+
+def test_classify_builds_one_ground_truth_per_call(gateway, monkeypatch):
+    builds = 0
+    init = GroundTruth.__init__
+
+    def counted(self, instance):
+        nonlocal builds
+        builds += 1
+        init(self, instance)
+
+    monkeypatch.setattr(GroundTruth, "__init__", counted)
+    instance = fixtures.puzzle("event_planning")
+    reference = fixtures.reference_blocks("event_planning")
+    cap = classification_cap(instance, None)
+    candidate = CandidateEncoding(text=reference.hints[1])
+    trajectory = on_base(instance, reference.base)
+    assert classify(candidate, trajectory, instance, cap, gateway, "assignment") == "chosen"
+    assert candidate.verdict.model_count > 1
+    assert builds == 1
+
+
+def test_dfs_matches_each_distinct_model_once(monkeypatch):
+    gateway = SolverGateway()
+    lists = []  # each solve's atom list, kept alive so that ids stay distinct
+    calls = []
+    reached = set()
+    solve = gateway.solve
+    match = datagen.match_solution
+    classify_once = datagen.classify
+
+    def solving(*args, **kwargs):
+        verdict = solve(*args, **kwargs)
+        lists.append(getattr(verdict.models, "atom_of", None))
+        return verdict
+
+    def matching_model(model, instance, predicate, *rest):
+        calls.append((id(lists[-1]), frozenset(a for a in model if a.pred == predicate)))
+        return match(model, instance, predicate, *rest)
+
+    def walking(candidate, trajectory, instance, cap, gateway, predicate=None, truth=None):
+        label = classify_once(candidate, trajectory, instance, cap, gateway, predicate, truth)
+        if candidate.verdict.flagless:
+            for model in candidate.verdict.models:
+                reached.add((id(lists[-1]), frozenset(a for a in model if a.pred == predicate)))
+                if fresh_member(model, instance, predicate):
+                    break
+        return label
+
+    monkeypatch.setattr(gateway, "solve", solving)
+    monkeypatch.setattr(datagen, "match_solution", matching_model)
+    monkeypatch.setattr(datagen, "classify", walking)
+    instance = fixtures.puzzle("event_planning")
+    generator = ScriptedGenerator(fixtures.scripted_path("datagen_splits"))
+    sft, pref, _ = run_dfs(instance, generator, DfsConfig(), gateway)
+    assert (len(sft), len(pref)) == (25, 54)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == reached
+    assert len(calls) == 550
