@@ -65,7 +65,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .syntax import (
@@ -90,6 +89,7 @@ from .syntax import (
     ground_atom_key,
     value_order_key,
 )
+from ..value_types import FRESH, set_field, value_type
 
 
 class GroundingError(Exception):
@@ -111,29 +111,34 @@ class UnsupportedProgram(GroundingError):
 GROUND_ATOM_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True, skip_compare=("source",))
 class GroundChoice:
-    lower: int
-    upper: int | None
-    candidates: tuple[GroundAtom, ...]
-    source: str = field(default="", compare=False)
+    def __init__(self, lower: int, upper: int | None, candidates: tuple[GroundAtom, ...],
+                 source: str = ""):
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "candidates", candidates)
+        set_field(self, "source", source)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True, skip_compare=("source",))
 class GroundRule:
-    head: GroundAtom
-    pos: tuple[GroundAtom, ...]
-    neg: tuple[GroundAtom, ...]
-    source: str = field(default="", compare=False)
+    def __init__(self, head: GroundAtom, pos: tuple[GroundAtom, ...], neg: tuple[GroundAtom, ...],
+                 source: str = ""):
+        set_field(self, "head", head)
+        set_field(self, "pos", pos)
+        set_field(self, "neg", neg)
+        set_field(self, "source", source)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True, skip_compare=("source",))
 class GroundConstraint:
     """Violated when all of pos are in the model and none of neg are."""
 
-    pos: tuple[GroundAtom, ...]
-    neg: tuple[GroundAtom, ...]
-    source: str = field(default="", compare=False)
+    def __init__(self, pos: tuple[GroundAtom, ...], neg: tuple[GroundAtom, ...], source: str = ""):
+        set_field(self, "pos", pos)
+        set_field(self, "neg", neg)
+        set_field(self, "source", source)
 
 
 class Symbols:
@@ -162,7 +167,7 @@ class Symbols:
         self.special = self.fact_ids | self.derivable | {None}
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Route:
     """One constraint statement's ground constraints over the skeleton's
     atom ids, routed for the enumerator. A constraint needing an uninterned
@@ -175,10 +180,12 @@ class Route:
     checked on complete models (`deferred`). The statement's join files
     each constraint as it stores a new dedup key (`_Router`)."""
 
-    always_violated: bool
-    forbidden: frozenset[int]
-    partners: dict[int, int]
-    deferred: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    def __init__(self, always_violated: bool, forbidden: frozenset[int], partners: dict[int, int],
+                 deferred: tuple[tuple[frozenset[int], frozenset[int]], ...]):
+        set_field(self, "always_violated", always_violated)
+        set_field(self, "forbidden", forbidden)
+        set_field(self, "partners", partners)
+        set_field(self, "deferred", deferred)
 
 
 class Constraints:
@@ -203,7 +210,7 @@ class Constraints:
         return iter(self._built)
 
 
-@dataclass
+@value_type(skip_compare=("sources", "symbols", "routes"), skip_repr=("sources", "symbols", "routes"))
 class GroundProgram:
     """A ground program that refers to its skeleton's facts, choices, rules
     and possible atoms, and to each constraint statement's compiled form, in
@@ -211,16 +218,19 @@ class GroundProgram:
     (`keyed`) and their route (`routes`), which is all the enumerator reads.
     `constraints` is merged across statements on read (`Constraints`)."""
 
-    facts: frozenset[GroundAtom]
-    choices: list[GroundChoice]
-    rules: list[GroundRule]
-    possible: frozenset[GroundAtom]
-    keyed: tuple[dict[tuple, tuple], ...]
-    sources: tuple[str, ...] = field(compare=False, repr=False)  # each constraint statement's text
-    # the enumerator's view, shared with the skeleton: its interned atoms and
-    # the route of each constraint statement, in program order
-    symbols: Symbols = field(compare=False, repr=False)
-    routes: tuple[Route, ...] = field(compare=False, repr=False)
+    def __init__(self, facts: frozenset[GroundAtom], choices: list[GroundChoice], rules: list[GroundRule],
+                 possible: frozenset[GroundAtom], keyed: tuple[dict[tuple, tuple], ...],
+                 sources: tuple[str, ...], symbols: Symbols, routes: tuple[Route, ...]):
+        self.facts = facts
+        self.choices = choices
+        self.rules = rules
+        self.possible = possible
+        self.keyed = keyed
+        self.sources = sources  # each constraint statement's text
+        # the enumerator's view, shared with the skeleton: its interned atoms
+        # and the route of each constraint statement, in program order
+        self.symbols = symbols
+        self.routes = routes
 
     @functools.cached_property
     def constraints(self) -> Constraints:
@@ -877,7 +887,7 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
                          skeleton.symbols, tuple(r for _, r in compiled))
 
 
-@dataclass
+@value_type
 class _Skeleton:
     """Fact, Rule and Choice statements grounded, their atoms interned
     (`symbols`), what constraint statements are grounded against, and each
@@ -886,16 +896,19 @@ class _Skeleton:
     route. Ground programs share all of it, so none of it changes once
     stored."""
 
-    facts: frozenset[GroundAtom]
-    choices: list[GroundChoice]
-    rules: list[GroundRule]
-    possible: frozenset[GroundAtom]
-    symbols: Symbols
-    dependent: set[tuple[str, int]]
-    base: set[GroundAtom]  # the atoms true in every model
-    by_pred: dict[tuple[str, int], list[GroundAtom]]  # the possible atoms by predicate
-    constraints: dict[tuple[Statement, str], tuple[dict[tuple, tuple], Route]] = field(
-        default_factory=dict)
+    def __init__(self, facts: frozenset[GroundAtom], choices: list[GroundChoice], rules: list[GroundRule],
+                 possible: frozenset[GroundAtom], symbols: Symbols, dependent: set[tuple[str, int]],
+                 base: set[GroundAtom], by_pred: dict[tuple[str, int], list[GroundAtom]],
+                 constraints: dict[tuple[Statement, str], tuple[dict[tuple, tuple], Route]] = FRESH):
+        self.facts = facts
+        self.choices = choices
+        self.rules = rules
+        self.possible = possible
+        self.symbols = symbols
+        self.dependent = dependent
+        self.base = base  # the atoms true in every model
+        self.by_pred = by_pred  # the possible atoms by predicate
+        self.constraints = {} if constraints is FRESH else constraints
 
 
 @functools.lru_cache(maxsize=1)

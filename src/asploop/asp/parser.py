@@ -14,8 +14,6 @@ results.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
-
 from .syntax import (
     Anon,
     Arith,
@@ -38,23 +36,26 @@ from .syntax import (
     Var,
     CMP_OPS,
 )
+from ..value_types import FRESH, replace, set_field, value_type
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Diagnostic:
-    severity: str  # "error" or "unsupported"
-    message: str
-    line: int
-    col: int
+    def __init__(self, severity: str, message: str, line: int, col: int):
+        set_field(self, "severity", severity)  # "error" or "unsupported"
+        set_field(self, "message", message)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
-@dataclass
+@value_type
 class ParseResult:
-    statements: list[Statement] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, statements: list[Statement] = FRESH, diagnostics: list[Diagnostic] = FRESH):
+        self.statements = [] if statements is FRESH else statements
+        self.diagnostics = [] if diagnostics is FRESH else diagnostics
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -72,12 +73,13 @@ class ParseResult:
 # --------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Token:
-    type: str
-    text: str
-    line: int
-    col: int
+    def __init__(self, type: str, text: str, line: int, col: int):
+        set_field(self, "type", type)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 # Constructs we can name when refusing them. Everything here is valid ASP
@@ -491,13 +493,14 @@ class _Parser:
             raise self.error(f"expected ',', ';' or ')' in arguments, found {tok.text!r}", tok)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class _FuncShape:
     """Transient parse node: identifier with arguments, contextually either an
     atom or (rejected) a function term. Never leaves the parser."""
 
-    pred: str
-    args: tuple[Term, ...]
+    def __init__(self, pred: str, args: tuple[Term, ...]):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
 
 
 def parse_program(text: str) -> ParseResult:

@@ -3,48 +3,58 @@
 The fragment covers exactly what grid-puzzle encodings use: pooled facts,
 definite rules, constraints, bounded choice rules, cardinality-equality
 heads over comparisons, integer +/- arithmetic, and tuple (in)equality.
-Statement dataclasses carry their source text for diagnostics, but source
-positions are excluded from equality so structural comparison works.
+Statements carry their source text for diagnostics, but it is left out of
+equality and hashing so structural comparison works. Every AST type is a
+frozen value type (`asploop.value_types`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
+
+from ..value_types import set_field, value_type
 
 # --------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Num:
-    value: int
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Sym:
-    name: str
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Var:
-    name: str
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Anon:
     """The anonymous variable `_`; matches anything, binds nothing."""
 
+    def __init__(self):
+        pass
 
-@dataclass(frozen=True)
+
+@value_type(frozen=True)
 class Arith:
-    op: str  # "+" or "-"
-    lhs: "Term"
-    rhs: "Term"
+    def __init__(self, op: str, lhs: Term, rhs: Term):
+        set_field(self, "op", op)  # "+" or "-"
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Tup:
-    items: tuple["Term", ...]
+    def __init__(self, items: tuple[Term, ...]):
+        set_field(self, "items", items)
 
 
 Term = Union[Num, Sym, Var, Anon, Arith, Tup]
@@ -54,10 +64,11 @@ Term = Union[Num, Sym, Var, Anon, Arith, Tup]
 GroundValue = Union[int, str, tuple]
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
+    def __init__(self, pred: str, args: tuple[Term, ...] = ()):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
 
     @property
     def arity(self) -> int:
@@ -67,18 +78,20 @@ class Atom:
 # --------------------------------------------------------------------------
 # Literals
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class AtomLit:
-    atom: Atom
-    negated: bool = False
+    def __init__(self, atom: Atom, negated: bool = False):
+        set_field(self, "atom", atom)
+        set_field(self, "negated", negated)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class CmpLit:
-    lhs: Term
-    op: str  # one of == = != < > <= >=
-    rhs: Term
-    negated: bool = False
+    def __init__(self, lhs: Term, op: str, rhs: Term, negated: bool = False):
+        set_field(self, "lhs", lhs)
+        set_field(self, "op", op)  # one of == = != < > <= >=
+        set_field(self, "rhs", rhs)
+        set_field(self, "negated", negated)
 
 
 Literal = Union[AtomLit, CmpLit]
@@ -86,63 +99,72 @@ Literal = Union[AtomLit, CmpLit]
 CMP_OPS = ("==", "=", "!=", "<=", ">=", "<", ">")
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class ChoiceElement:
-    atom: Atom
-    conditions: tuple[Literal, ...] = ()
+    def __init__(self, atom: Atom, conditions: tuple[Literal, ...] = ()):
+        set_field(self, "atom", atom)
+        set_field(self, "conditions", conditions)
 
 
 # --------------------------------------------------------------------------
-# Statements
+# Statements (`source_text` is left out of equality and hashing). A statement
+# keeps its hash: `ground_program` hashes every statement on every call.
 
-@dataclass(frozen=True)
+@value_type(frozen=True, skip_compare=("source_text",), cache_hash=True)
 class Fact:
-    atom: Atom
-    source_text: str = field(default="", compare=False)
-
     kind = "fact"
 
+    def __init__(self, atom: Atom, source_text: str = ""):
+        set_field(self, "atom", atom)
+        set_field(self, "source_text", source_text)
 
-@dataclass(frozen=True)
+
+@value_type(frozen=True, skip_compare=("source_text",), cache_hash=True)
 class Rule:
-    head: Atom
-    body: tuple[Literal, ...]
-    source_text: str = field(default="", compare=False)
-
     kind = "rule"
 
+    def __init__(self, head: Atom, body: tuple[Literal, ...], source_text: str = ""):
+        set_field(self, "head", head)
+        set_field(self, "body", body)
+        set_field(self, "source_text", source_text)
 
-@dataclass(frozen=True)
+
+@value_type(frozen=True, skip_compare=("source_text",), cache_hash=True)
 class Constraint:
-    body: tuple[Literal, ...]
-    source_text: str = field(default="", compare=False)
-
     kind = "constraint"
 
+    def __init__(self, body: tuple[Literal, ...], source_text: str = ""):
+        set_field(self, "body", body)
+        set_field(self, "source_text", source_text)
 
-@dataclass(frozen=True)
+
+@value_type(frozen=True, skip_compare=("source_text",), cache_hash=True)
 class Choice:
-    lower: int
-    upper: int | None  # None means unbounded
-    elements: tuple[ChoiceElement, ...]
-    body: tuple[Literal, ...] = ()
-    source_text: str = field(default="", compare=False)
-
     kind = "choice-rule"
 
+    def __init__(self, lower: int, upper: int | None, elements: tuple[ChoiceElement, ...],
+                 body: tuple[Literal, ...] = (), source_text: str = ""):
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)  # None means unbounded
+        set_field(self, "elements", elements)
+        set_field(self, "body", body)
+        set_field(self, "source_text", source_text)
 
-@dataclass(frozen=True)
+
+@value_type(frozen=True, skip_compare=("source_text",), cache_hash=True)
 class CardinalityRule:
     """`{ cmp; ... } = count :- body.` Acts as a per-instance check: whenever
     the body holds, exactly `count` of the instantiated comparisons must be
     true. Derives nothing."""
 
-    elements: tuple[CmpLit, ...]
-    count: int
-    body: tuple[Literal, ...] = ()
-    source_text: str = field(default="", compare=False)
-
     kind = "cardinality-head-rule"
+
+    def __init__(self, elements: tuple[CmpLit, ...], count: int, body: tuple[Literal, ...] = (),
+                 source_text: str = ""):
+        set_field(self, "elements", elements)
+        set_field(self, "count", count)
+        set_field(self, "body", body)
+        set_field(self, "source_text", source_text)
 
 
 Statement = Union[Fact, Rule, Constraint, Choice, CardinalityRule]
@@ -151,16 +173,19 @@ Statement = Union[Fact, Rule, Constraint, Choice, CardinalityRule]
 # --------------------------------------------------------------------------
 # Ground atoms
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class GroundAtom:
-    pred: str
-    args: tuple[GroundValue, ...] = ()
-    # the dataclass hash of (pred, args), computed once: ground atoms live in
-    # the grounder's and the enumerator's sets and dicts
-    _hash: int = field(init=False, repr=False, compare=False)
+    def __init__(self, pred: str, args: tuple[GroundValue, ...] = ()):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
+        # the hash of (pred, args), computed once: ground atoms live in the
+        # grounder's and the enumerator's sets and dicts
+        set_field(self, "_hash", hash((pred, args)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) == (other.pred, other.args)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

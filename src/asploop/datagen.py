@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import os
 import statistics
-from dataclasses import dataclass
 from pathlib import Path
 
 from .asp import parse_program
@@ -33,43 +31,49 @@ from .trajectory import (
     combine,
     generate,
 )
+from .value_types import set_field, value_type
 
-logger = logging.getLogger(__name__)
+
+def _warn(message: str, *args) -> None:
+    import logging  # loaded only when a run aborts
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class SftRecord:
-    prompt: str
-    completion: str
-    instance_id: str
-    step_index: int
-    branch_id: str
+    def __init__(self, prompt: str, completion: str, instance_id: str, step_index: int, branch_id: str):
+        set_field(self, "prompt", prompt)
+        set_field(self, "completion", completion)
+        set_field(self, "instance_id", instance_id)
+        set_field(self, "step_index", step_index)
+        set_field(self, "branch_id", branch_id)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class PreferenceRecord:
-    prompt: str
-    chosen: str
-    rejected: str
-    instance_id: str
-    step_index: int
-    branch_id: str
-
-    def __post_init__(self):
+    def __init__(self, prompt: str, chosen: str, rejected: str, instance_id: str, step_index: int,
+                 branch_id: str):
+        set_field(self, "prompt", prompt)
+        set_field(self, "chosen", chosen)
+        set_field(self, "rejected", rejected)
+        set_field(self, "instance_id", instance_id)
+        set_field(self, "step_index", step_index)
+        set_field(self, "branch_id", branch_id)
         if self.chosen == self.rejected:
             raise ValueError("chosen and rejected texts must differ")
 
 
-@dataclass
+@value_type
 class DfsConfig:
-    n_samples: int = 5
-    temperature: float = 0.8
-    max_chosen_branch: int = 2
-    cap: int | None = None
-    shots: tuple = ()
-    preamble: str | None = None
-
-    def __post_init__(self):
+    def __init__(self, n_samples: int = 5, temperature: float = 0.8, max_chosen_branch: int = 2,
+                 cap: int | None = None, shots: tuple = (), preamble: str | None = None):
+        self.n_samples = n_samples
+        self.temperature = temperature
+        self.max_chosen_branch = max_chosen_branch
+        self.cap = cap
+        self.shots = shots
+        self.preamble = preamble
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.max_chosen_branch < 0:
@@ -268,11 +272,11 @@ def run_dfs(
             classify_base(candidate, instance, cap, gateway)
         chosen = record(base_prompt, candidates, 0, "", None)
         if not chosen:
-            logger.warning("datagen aborted for %s: no usable base encoding", instance.id)
+            _warn("datagen aborted for %s: no usable base encoding", instance.id)
             return sft, pref, stats(aborted_reason="no usable base encoding")
         branch(Trajectory(instance_ref=instance.id), base_prompt, candidates, chosen, 0, "", 0)
     except GeneratorError as exc:
-        logger.warning("datagen aborted for %s: %s", instance.id, exc)
+        _warn("datagen aborted for %s: %s", instance.id, exc)
         # the records so far are discarded, and the stats count what is returned
         sft.clear()
         pref.clear()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from ..asp import (
 from ..asp.solve import enumerate_models
 from ..matching import normalize_surface
 from ..puzzles import PuzzleInstance, load_dataset
+from ..value_types import set_field, value_type
 
 SCRIPTED_NAMES = (
     "datagen_splits",
@@ -60,14 +60,15 @@ def puzzle(instance_id: str) -> PuzzleInstance:
     raise KeyError(f"no fixture puzzle with id {instance_id!r}")
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class ReferenceEncoding:
     """The hand-checked encoding of one puzzle, split the way the pipeline
     consumes it: a base block plus one block per hint, in hint order."""
 
-    instance_id: str
-    base: str
-    hints: tuple[str, ...]
+    def __init__(self, instance_id: str, base: str, hints: tuple[str, ...]):
+        set_field(self, "instance_id", instance_id)
+        set_field(self, "base", base)
+        set_field(self, "hints", hints)
 
     @property
     def full_program(self) -> str:

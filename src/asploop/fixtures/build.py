@@ -23,7 +23,6 @@ import argparse
 import json
 import shutil
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..asp import parse_program
@@ -34,6 +33,7 @@ from ..generators import RecordingGenerator, merge_recordings, write_fixture
 from ..matching import normalize_surface
 from ..puzzles import PuzzleInstance, save_dataset
 from ..search import SearchConfig, evaluate_accuracy, run_search
+from ..value_types import replace, set_field, value_type
 from . import (
     E2E_WEAK_FIRST,
     crosscheck_programs,
@@ -62,15 +62,16 @@ def check(condition: bool, message: str) -> None:
 # argument order of the assignment atoms so solved models map straight onto
 # solution rows.
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class PuzzleSpec:
     """A packaged puzzle with its reference blocks, as the candidate pools
     read them. Each block file ends in one newline that is not part of
     the block."""
 
-    instance: PuzzleInstance
-    base: str
-    blocks: tuple[str, ...]  # one per clue, in clue order
+    def __init__(self, instance: PuzzleInstance, base: str, blocks: tuple[str, ...]):
+        set_field(self, "instance", instance)
+        set_field(self, "base", base)
+        set_field(self, "blocks", blocks)  # one per clue, in clue order
 
     @property
     def driver(self) -> int:

@@ -14,13 +14,9 @@ from __future__ import annotations
 import functools
 import os
 import re
-import shlex
-import subprocess
-import tempfile
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .asp import (
     EnumerationBudgetError,
@@ -32,6 +28,7 @@ from .asp import (
     parse_program,
 )
 from .asp.ground import UnsupportedProgram
+from .value_types import FRESH, value_type
 
 DEFAULT_CAP = 1_000_000
 DEFAULT_TIMEOUT = 30.0
@@ -46,18 +43,16 @@ class SolverConfigError(Exception):
     pass
 
 
-@dataclass
+@value_type
 class SolverVerdict:
-    # the in-process backend's `Models` builds each model when it is read
-    models: Sequence[frozenset[GroundAtom]]
-    cap: int
-    diagnostics: list[str] = field(default_factory=list)
-    has_error: bool = False
-    wall_time: float = 0.0
-
-    def __post_init__(self):
-        if self.has_error:
-            self.models = []
+    def __init__(self, models: Sequence[frozenset[GroundAtom]], cap: int, diagnostics: list[str] = FRESH,
+                 has_error: bool = False, wall_time: float = 0.0):
+        # the in-process backend's `Models` builds each model when it is read
+        self.models = [] if has_error else models
+        self.cap = cap
+        self.diagnostics = [] if diagnostics is FRESH else diagnostics
+        self.has_error = has_error
+        self.wall_time = wall_time
 
     @property
     def model_count(self) -> int:
@@ -136,6 +131,8 @@ class SolverGateway:
         if solver_cmd is None:
             solver_cmd = os.environ.get(SOLVER_CMD_ENV) or None
         if isinstance(solver_cmd, str):
+            import shlex  # loaded only for a solver command given as a string
+
             try:
                 solver_cmd = shlex.split(solver_cmd)
             except ValueError as exc:
@@ -169,6 +166,9 @@ class SolverGateway:
     # -- external ----------------------------------------------------------
 
     def _solve_external(self, text: str, cap: int) -> SolverVerdict:
+        import subprocess  # loaded only when the external backend runs
+        import tempfile
+
         t0 = time.perf_counter()
         with tempfile.NamedTemporaryFile(
             "w", suffix=".lp", prefix="asploop_", delete=False, encoding="utf-8"

@@ -14,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
+
+from .value_types import set_field, value_type
 
 GEN_TOKEN_ENV = "ASPLOOP_GEN_TOKEN"
 
@@ -33,10 +34,11 @@ class FixtureExhausted(GeneratorError):
     pass
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class RawCompletion:
-    text: str
-    token_count: int = 0
+    def __init__(self, text: str, token_count: int = 0):
+        set_field(self, "text", text)
+        set_field(self, "token_count", token_count)
 
 
 class Generator(Protocol):

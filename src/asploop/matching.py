@@ -24,13 +24,13 @@ here caches across calls.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from .asp import GroundAtom
 from .asp.solve import Models
 from .asp.syntax import render_ground_value
 from .puzzles import PuzzleInstance
+from .value_types import FRESH, value_type
 
 
 def normalize_surface(item) -> str:
@@ -66,13 +66,15 @@ def edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-@dataclass
+@value_type
 class MatchReport:
-    matched: bool
-    method: str | None = None
-    assignment_map: dict[int, int] = field(default_factory=dict)
-    item_matrix: list[list[tuple[int, int]]] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
+    def __init__(self, matched: bool, method: str | None = None, assignment_map: dict[int, int] = FRESH,
+                 item_matrix: list[list[tuple[int, int]]] = FRESH, diagnostics: list[str] = FRESH):
+        self.matched = matched
+        self.method = method
+        self.assignment_map = {} if assignment_map is FRESH else assignment_map
+        self.item_matrix = [] if item_matrix is FRESH else item_matrix
+        self.diagnostics = [] if diagnostics is FRESH else diagnostics
 
 
 class Vocabulary:

@@ -9,30 +9,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+
+from .value_types import FRESH, set_field, value_type
 
 
 class PuzzleFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class EntityCategory:
-    name: str
-    members: tuple[str, ...]
+    def __init__(self, name: str, members: tuple[str, ...]):
+        set_field(self, "name", name)
+        set_field(self, "members", members)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True, skip_compare=("meta",))
 class PuzzleInstance:
-    id: str
-    description: str
-    categories: tuple[EntityCategory, ...]
-    hints: tuple[str, ...]
-    solution: tuple[tuple[str, ...], ...]
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, id: str, description: str, categories: tuple[EntityCategory, ...],
+                 hints: tuple[str, ...], solution: tuple[tuple[str, ...], ...], meta: dict = FRESH):
+        set_field(self, "id", id)
+        set_field(self, "description", description)
+        set_field(self, "categories", categories)
+        set_field(self, "hints", hints)
+        set_field(self, "solution", solution)
+        set_field(self, "meta", {} if meta is FRESH else meta)
         _validate_instance(self)
 
     @property

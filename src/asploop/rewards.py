@@ -9,15 +9,15 @@ model count of the unconstrained grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gateway import SolverVerdict
+from .value_types import set_field, value_type
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class RewardValue:
-    recip_term: float
-    flag: str | None
+    def __init__(self, recip_term: float, flag: str | None):
+        set_field(self, "recip_term", recip_term)
+        set_field(self, "flag", flag)
 
     @property
     def value(self) -> float:

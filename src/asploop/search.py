@@ -11,8 +11,6 @@ past the budget the search accepts the least-bad candidate and moves on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .datagen import classification_cap
 from .gateway import SolverGateway, SolverVerdict
 from .generators import Generator, GeneratorError
@@ -28,20 +26,22 @@ from .trajectory import (
     combine,
     generate,
 )
+from .value_types import FRESH, value_type
 
 
-@dataclass
+@value_type
 class SearchConfig:
-    n: int = 5
-    temperature: float = 1.0
-    backtrack_limit: int = 5
-    regen_multiplier: int = 2
-    enable_regeneration: bool = True
-    cap: int | None = None
-    shots: tuple = ()
-    preamble: str | None = None
-
-    def __post_init__(self):
+    def __init__(self, n: int = 5, temperature: float = 1.0, backtrack_limit: int = 5,
+                 regen_multiplier: int = 2, enable_regeneration: bool = True, cap: int | None = None,
+                 shots: tuple = (), preamble: str | None = None):
+        self.n = n
+        self.temperature = temperature
+        self.backtrack_limit = backtrack_limit
+        self.regen_multiplier = regen_multiplier
+        self.enable_regeneration = enable_regeneration
+        self.cap = cap
+        self.shots = shots
+        self.preamble = preamble
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.regen_multiplier < 1:
@@ -52,12 +52,14 @@ class SearchConfig:
             raise ValueError("cap must be non-negative")
 
 
-@dataclass
+@value_type
 class SearchOutcome:
-    final_program: str
-    final_verdict: SolverVerdict
-    trace: list[dict] = field(default_factory=list)
-    total_output_tokens: int = 0
+    def __init__(self, final_program: str, final_verdict: SolverVerdict, trace: list[dict] = FRESH,
+                 total_output_tokens: int = 0):
+        self.final_program = final_program
+        self.final_verdict = final_verdict
+        self.trace = [] if trace is FRESH else trace
+        self.total_output_tokens = total_output_tokens
 
 
 class SearchError(RuntimeError):

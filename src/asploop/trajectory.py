@@ -10,7 +10,6 @@ dropped and leave no trace in later prompts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .asp import parse_program
@@ -18,6 +17,7 @@ from .gateway import SolverVerdict
 from .generators import Generator, GeneratorError, GeneratorTransportError, RawCompletion
 from .puzzles import PuzzleInstance
 from .rewards import RewardValue
+from .value_types import FRESH, value_type
 
 TRANSPORT_RETRIES = 3
 
@@ -26,15 +26,15 @@ class TrajectoryStateError(RuntimeError):
     pass
 
 
-@dataclass
+@value_type
 class CandidateEncoding:
-    text: str
-    verdict: SolverVerdict | None = None
-    reward: RewardValue | None = None
-    label: str | None = None
-    token_count: int = 0
-
-    def __post_init__(self):
+    def __init__(self, text: str, verdict: SolverVerdict | None = None, reward: RewardValue | None = None,
+                 label: str | None = None, token_count: int = 0):
+        self.text = text
+        self.verdict = verdict
+        self.reward = reward
+        self.label = label
+        self.token_count = token_count
         if self.label is not None and self.verdict is None:
             raise ValueError("a labeled candidate must carry its verdict")
         if self.reward is not None and self.verdict is None:
@@ -43,11 +43,13 @@ class CandidateEncoding:
             raise ValueError(f"unknown label {self.label!r}")
 
 
-@dataclass
+@value_type
 class Step:
-    input_text: str
-    candidates: list[CandidateEncoding] = field(default_factory=list)
-    selected_index: int | None = None
+    def __init__(self, input_text: str, candidates: list[CandidateEncoding] = FRESH,
+                 selected_index: int | None = None):
+        self.input_text = input_text
+        self.candidates = [] if candidates is FRESH else candidates
+        self.selected_index = selected_index
 
     @property
     def selected(self) -> CandidateEncoding:
@@ -56,10 +58,11 @@ class Step:
         return self.candidates[self.selected_index]
 
 
-@dataclass
+@value_type
 class Trajectory:
-    instance_ref: str
-    steps: list[Step] = field(default_factory=list)
+    def __init__(self, instance_ref: str, steps: list[Step] = FRESH):
+        self.instance_ref = instance_ref
+        self.steps = [] if steps is FRESH else steps
 
 
 def default_preamble() -> str:

@@ -10,7 +10,6 @@ a literal added that holds on every binding but breaks the symmetry.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import itertools
 import json
@@ -24,6 +23,7 @@ from asploop import fixtures
 from asploop.asp import GroundingError, ground_program, parse_program
 from asploop.asp import ground
 from asploop.asp.syntax import CardinalityRule, Choice, CmpLit, Constraint, Fact, GroundAtom, Num, Rule, Var
+from asploop.value_types import replace
 
 
 def statements(text):
@@ -107,7 +107,7 @@ def test_a_negated_element_breaks_a_symmetry():
     # `not X = Y` and `X = Y` instantiate to the same ground element
     stmt = statements("{X = Y} = 0 :- a(X), a(Y).")[0]
     assert mirror_of(stmt) == (0, 1)
-    negated = dataclasses.replace(stmt, elements=(dataclasses.replace(stmt.elements[0], negated=True),))
+    negated = replace(stmt, elements=(replace(stmt.elements[0], negated=True),))
     assert mirror_of(negated) is None
 
 
@@ -264,7 +264,7 @@ ELEMENTS = st.lists(st.tuples(st.sampled_from(["X", "Y", 1]), st.sampled_from(["
 def test_elements_that_instantiate_alike_count_once(elements, count):
     *program, stmt = statements("p(1;2). {q(X) : p(X)}. {X = Y} = 0 :- q(X), q(Y).")
     term = {"X": Var("X"), "Y": Var("Y"), 1: Num(1)}
-    stmt = dataclasses.replace(stmt, count=count, elements=tuple(
+    stmt = replace(stmt, count=count, elements=tuple(
         CmpLit(term[lhs], op, term[rhs], negated) for lhs, op, rhs, negated in elements))
     expected = {}
     for x, y in itertools.product((1, 2), repeat=2):

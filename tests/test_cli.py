@@ -338,6 +338,22 @@ def test_a_run_imports_only_the_standard_library():
     assert not added & {"urllib.request", "ssl"}
 
 
+def test_set_up_loads_no_dataclasses_logging_or_subprocess():
+    # value types are built without dataclasses (and inspect); logging serves
+    # only datagen's abort warnings, and the rest only an external solver
+    env = {**os.environ, "PYTHONPATH": str(Path(asploop.__file__).parents[1])}
+
+    def loaded(imports):
+        code = f"{imports}; import sys; print(*sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        return set(run.stdout.split())
+
+    added = loaded("import asploop.cli, asploop.fixtures") - loaded("pass")
+    assert "asploop.cli" in added
+    assert not added & {"dataclasses", "inspect", "logging", "subprocess", "tempfile", "shlex"}
+
+
 def test_importing_the_cli_leaves_the_thread_pool_unloaded():
     # only a run with --jobs above 1 needs concurrent.futures
     env = {**os.environ, "PYTHONPATH": str(Path(asploop.__file__).parents[1])}

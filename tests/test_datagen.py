@@ -258,7 +258,7 @@ def test_export_and_reload_round_trip(tmp_path, dfs_run):
     assert load_records(pref_path, format="pref-jsonl") == list(pref)
 
 
-def test_dfs_aborts_on_unusable_base(gateway):
+def test_dfs_aborts_on_unusable_base(gateway, caplog):
     instance = fixtures.puzzle("event_planning")
 
     class Garbage:
@@ -273,9 +273,11 @@ def test_dfs_aborts_on_unusable_base(gateway):
     assert sft == []
     assert pref == []
     assert stats["aborted_reason"]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("asploop.datagen", "WARNING", "datagen aborted for event_planning: no usable base encoding")]
 
 
-def test_dfs_stats_count_no_records_after_a_generator_failure(gateway):
+def test_dfs_stats_count_no_records_after_a_generator_failure(gateway, caplog):
     instance = fixtures.puzzle("event_planning")
     scripted = ScriptedGenerator(fixtures.scripted_path("datagen_splits"))
 
@@ -293,6 +295,8 @@ def test_dfs_stats_count_no_records_after_a_generator_failure(gateway):
     assert (sft, pref) == ([], [])
     assert (stats["sft_records"], stats["pref_records"]) == (0, 0)
     assert stats["aborted_reason"] == "backend went away"
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("asploop.datagen", "WARNING", "datagen aborted for event_planning: backend went away")]
     # the rows of the steps walked before the failure are kept
     assert len(stats["steps"]) == 4
 

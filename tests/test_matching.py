@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -316,8 +314,8 @@ def test_ranked_vocabulary_matches_the_all_pairs_matcher(gt_rows, models):
     for model_rows in models:
         report = levenshtein_match(gt_rows, model_rows, vocabulary)
         reference = all_pairs_levenshtein_match(gt_rows, model_rows)
-        for f in fields(MatchReport):
-            assert getattr(report, f.name) == getattr(reference, f.name), f.name
+        for name in MatchReport.__match_args__:
+            assert getattr(report, name) == getattr(reference, name), name
 
 
 def test_ground_truth_renders_each_atom_once(monkeypatch, gateway, event_ref):
