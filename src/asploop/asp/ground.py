@@ -52,10 +52,12 @@ raises UnsupportedProgram. Rules grow an index to GROUND_ATOM_BUDGET at most.
 The Fact, Rule and Choice statements are grounded once per content and the
 last result kept (`_ground_skeleton`), their atoms interned to ints for the
 enumerator (`Symbols`). Each constraint statement is compiled against it
-once (`_compile_statement`): its ground constraints as (pos, neg) pairs,
-keyed for deduplication, and their `Route` over the interned atoms, filed
-as the join stores each key (`_Router`). Candidates adding constraints to
-one prefix share all of it: a ground program refers to its statements'
+once (`_compile_statement`): its join files each ground constraint into the
+statement's `Route` over the interned atoms (`_Router`), which is all the
+enumerator reads. Its ground constraints as (pos, neg) pairs, keyed for
+deduplication, are built only when something reads them, by running the
+same join again keeping every key (`_Keyed`). Candidates adding constraints
+to one prefix share all of it: a ground program refers to its statements'
 compiled forms, the enumerator merges their routes, and their ground
 constraints are merged and built only when read (`Constraints`).
 """
@@ -64,7 +66,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from collections import Counter
+from collections.abc import Mapping
 from typing import Callable
 
 from .syntax import (
@@ -178,7 +182,7 @@ class Route:
     (`forbidden`) or a forbidden pair (`partners`: for an atom id, the
     int bitmask of the atom ids it cannot be true with). The rest is
     checked on complete models (`deferred`). The statement's join files
-    each constraint as it stores a new dedup key (`_Router`)."""
+    each constraint (`_Router`)."""
 
     def __init__(self, always_violated: bool, forbidden: frozenset[int], partners: dict[int, int],
                  deferred: tuple[tuple[frozenset[int], frozenset[int]], ...]):
@@ -214,12 +218,13 @@ class Constraints:
 class GroundProgram:
     """A ground program that refers to its skeleton's facts, choices, rules
     and possible atoms, and to each constraint statement's compiled form, in
-    program order: its ground constraints as (pos, neg) by dedup key
-    (`keyed`) and their route (`routes`), which is all the enumerator reads.
-    `constraints` is merged across statements on read (`Constraints`)."""
+    program order: its route (`routes`), which is all the enumerator reads,
+    and its ground constraints as (pos, neg) by dedup key (`keyed`), built
+    on first read (`_Keyed`). `constraints` is merged across statements on
+    read (`Constraints`)."""
 
     def __init__(self, facts: frozenset[GroundAtom], choices: list[GroundChoice], rules: list[GroundRule],
-                 possible: frozenset[GroundAtom], keyed: tuple[dict[tuple, tuple], ...],
+                 possible: frozenset[GroundAtom], keyed: tuple[Mapping[tuple, tuple], ...],
                  sources: tuple[str, ...], symbols: Symbols, routes: tuple[Route, ...]):
         self.facts = facts
         self.choices = choices
@@ -653,12 +658,15 @@ def _rule_instances(plan: _Plan) -> Callable:
 
 
 def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Callable:
-    """join(by_pred, base, out, router): a constraint's instances, or a
-    cardinality-equality head's instances whose count is off, over the
+    """join(by_pred, base, out, router, keep): a constraint's instances, or
+    a cardinality-equality head's instances whose count is off, over the
     possible atoms `by_pred` that can still fire, resolved against the base
-    atoms: each one's (pos, neg) added to `out` under its dedup key
-    (`_dedup_key`) unless it is there, and then filed in `router`. A
-    symmetric statement joins one match of each mirrored pair (`_mirror`)."""
+    atoms, each filed in `router` by its dedup key (`_dedup_key`): a key
+    of one or two atom ids outside `Symbols.special` inline, and any other
+    through `router.file`, once, after its (pos, neg) is added to `out`
+    under it. With `keep`, nothing is filed and each key's first (pos, neg)
+    is added to `out`, in order. A symmetric statement joins one match of
+    each mirrored pair (`_mirror`)."""
     elements = () if isinstance(stmt, Constraint) else stmt.elements
     for el in elements:
         _require_bound((el.lhs, el.rhs), set(plan.variables), plan.source)
@@ -671,9 +679,6 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
     pos, neg = join.residue()
     if elements:
         _count(join, stmt)
-    # a new key is stored and then filed: one or two atom ids inline when
-    # `fast` holds, anything else through `file`
-    fast = filed = ""
     if not inline:
         join.distinct("pos", pos, "is not")
         join.distinct("neg", neg, "!=")
@@ -681,15 +686,23 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
     elif not dep:
         join.emit("pos = neg = key = ()")
     else:
-        join.emit("neg = ()")
         a, i = f"a{dep[0]}", f"i{dep[0]}"
         one = [f"pos = ({a},)", f"key = ({i},) if {i} is not None else (frozenset(pos), frozenset(neg))"]
         fast, filed = f"{i} not in special", f"forbidden.add({i})"
+        if len(dep) > 1:
+            b, j = f"a{dep[1]}", f"i{dep[1]}"
+            fast = f"{b} is not {a} and {i} not in special and {j} not in special"
+            filed = f"partners[{i}] = partner({i}, 0) | 1 << {j}; partners[{j}] = partner({j}, 0) | 1 << {i}"
+        # one or two interned atom ids are filed inline, which filing again
+        # leaves as it is, so their key is stored only with `keep`
+        join.emit(f"if not keep and {fast}:")
+        join.emit(f"    {filed}")
+        join.emit(f"    {join.reject}")
+        join.emit("neg = ()")
         if len(dep) == 1:
             for line in one:
                 join.emit(line)
         else:
-            b, j = f"a{dep[1]}", f"i{dep[1]}"
             # the same atom at both levels is one positive atom
             join.emit(f"if {b} is {a}:")
             for line in one:
@@ -698,14 +711,12 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
             join.emit(f"    pos = ({a}, {b})")
             join.emit(f"    key = ((frozenset(pos), frozenset(neg)) if {i} is None or {j} is None"
                       f" else ({i}, {j}) if {i} < {j} else ({j}, {i}))")
-            fast = f"{b} is not {a} and {i} not in special and {j} not in special"
-            filed = f"partners[{i}] = partner({i}, 0) | 1 << {j}; partners[{j}] = partner({j}, 0) | 1 << {i}"
+    # a key not filed inline is stored, so that it is filed once; with
+    # `keep`, every key is stored and none filed
     join.emit("if key not in out:")
     join.emit("    out[key] = pos, neg")
-    if fast:
-        join.emit(f"    if {fast}: {filed}")
-    join.emit(f"    {'else: ' if fast else ''}file(key, pos, neg)")
-    return join.function("by_pred, base, out, router", (
+    join.emit("    if not keep: file(key, pos, neg)")
+    return join.function("by_pred, base, out, router, keep", (
         "id_of, special = router.symbols.id_of, router.symbols.special", "id_get, file = id_of.get, router.file",
         "forbidden, partners, partner = router.forbidden, router.partners, router.partners.get"))
 
@@ -875,7 +886,7 @@ def ground_program(statements: list[Statement]) -> GroundProgram:
         (stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Fact, Rule, Choice))
     ))
     keys = [(stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Constraint, CardinalityRule))]
-    compiled: list[tuple[dict[tuple, tuple], Route]] = []
+    compiled: list[tuple[Mapping[tuple, tuple], Route]] = []
     for key in keys:
         entry = skeleton.constraints.get(key)
         if entry is None:
@@ -892,14 +903,14 @@ class _Skeleton:
     """Fact, Rule and Choice statements grounded, their atoms interned
     (`symbols`), what constraint statements are grounded against, and each
     one's compiled form so far, keyed by (statement, source text): its
-    ground constraints as (pos, neg) by dedup key, in order, and their
-    route. Ground programs share all of it, so none of it changes once
-    stored."""
+    ground constraints as (pos, neg) by dedup key, in order, built on first
+    read, and their route. Ground programs share all of it, so none of it
+    changes once stored, apart from that first read."""
 
     def __init__(self, facts: frozenset[GroundAtom], choices: list[GroundChoice], rules: list[GroundRule],
                  possible: frozenset[GroundAtom], symbols: Symbols, dependent: set[tuple[str, int]],
                  base: set[GroundAtom], by_pred: dict[tuple[str, int], list[GroundAtom]],
-                 constraints: dict[tuple[Statement, str], tuple[dict[tuple, tuple], Route]] = FRESH):
+                 constraints: dict[tuple[Statement, str], tuple[Mapping[tuple, tuple], Route]] = FRESH):
         self.facts = facts
         self.choices = choices
         self.rules = rules
@@ -984,19 +995,62 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
 def _compile_statement(stmt: Constraint | CardinalityRule, skeleton: _Skeleton):
     """A constraint's instances, or a cardinality-equality head's instances
     whose count is off, as (pos, neg) pairs in order, each keyed by its
-    dedup key (pos and neg as sets), so each pair of sets comes once; and
-    their route, filed by the join as it stores each key."""
+    dedup key (pos and neg as sets), so each pair of sets comes once, built
+    when first read (`_Keyed`); and their route, filed by the join."""
     plan = _Plan(stmt.body, skeleton.dependent, stmt.source_text)
-    keyed: dict[tuple, tuple] = {}
+    join = _constraint_instances(stmt, plan)
     router = _Router(skeleton.symbols)
-    _constraint_instances(stmt, plan)(skeleton.by_pred, skeleton.base, keyed, router)
-    return keyed, Route(router.always_violated, frozenset(router.forbidden), router.partners, tuple(router.deferred))
+    join(skeleton.by_pred, skeleton.base, {}, router, False)
+    route = Route(router.always_violated, frozenset(router.forbidden), router.partners, tuple(router.deferred))
+    return _Keyed(join, skeleton.by_pred, skeleton.base, skeleton.symbols), route
+
+
+class _Keyed(Mapping):
+    """One constraint statement's (pos, neg) pairs by dedup key, in order,
+    read-only. The enumerator reads only the route, so the dict is built on
+    first read, by running the statement's join again with `keep` and a
+    throwaway router, and then kept; threads reading at once build it once.
+    It refers to what the join reads and not to the skeleton, which holds
+    it, so an evicted skeleton is freed without the cycle collector."""
+
+    __slots__ = ("_args", "_dict", "_lock")
+
+    def __init__(self, join: Callable, by_pred, base, symbols: Symbols):
+        self._args = join, by_pred, base, symbols
+        self._dict: dict[tuple, tuple] | None = None
+        self._lock = threading.Lock()
+
+    @property
+    def _keyed(self) -> dict[tuple, tuple]:
+        if self._dict is None:
+            with self._lock:
+                if self._dict is None:
+                    self._dict = self._build()
+        return self._dict
+
+    def _build(self) -> dict[tuple, tuple]:
+        join, by_pred, base, symbols = self._args
+        keyed: dict[tuple, tuple] = {}
+        join(by_pred, base, keyed, _Router(symbols), True)
+        return keyed
+
+    def __getitem__(self, key: tuple) -> tuple:
+        return self._keyed[key]
+
+    def __iter__(self):
+        return iter(self._keyed)
+
+    def __len__(self) -> int:
+        return len(self._keyed)
+
+    def items(self):  # the dict's own view: merging reads every item
+        return self._keyed.items()
 
 
 class _Router:
-    """One constraint statement's `Route`, filed by its join as it stores
-    each new dedup key: a lone atom id or a pair of them inline, unless one
-    is in `Symbols.special`, and any other key through `file`."""
+    """One constraint statement's `Route`, filed by its join: a lone atom
+    id or a pair of them inline, unless one is in `Symbols.special`, and
+    any other dedup key through `file`, once per key."""
 
     def __init__(self, symbols: Symbols):
         self.symbols = symbols

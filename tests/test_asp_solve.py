@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -9,6 +10,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,9 +37,11 @@ from asploop.asp import (
 )
 from asploop.asp import ground
 from asploop.asp.ground import UnsupportedProgram, _ground_skeleton
-from asploop.asp.syntax import AtomLit, GroundAtom, Rule
+from asploop.asp.syntax import AtomLit, Choice, Fact, GroundAtom, Rule
 from asploop.gateway import SolverGateway
+from asploop.generators import ScriptedGenerator
 from asploop.rewards import reward
+from asploop.search import SearchConfig, run_search
 from conftest import REFSOLVER_CMD
 
 
@@ -406,6 +411,113 @@ def test_the_production_path_never_merges_constraints(monkeypatch):
         assert length == len(cold)
     assert len(merges) == 2 * len(programs)
     assert len(built) == 2 * sum(lengths)
+
+
+def four_by_four_search_prefix():
+    """The second program a one-candidate search over tattoo_parlor solves:
+    its base and first hint as the scripted generator writes them."""
+    solved = []
+
+    class Recording(SolverGateway):
+        def solve(self, text, **kwargs):
+            solved.append(text)
+            return super().solve(text, **kwargs)
+
+    generator = ScriptedGenerator(fixtures.scripted_path("search_e2e"))
+    run_search(fixtures.puzzle("tattoo_parlor"), generator, SearchConfig(n=1), Recording())
+    return solved[1]
+
+
+def counting_keyed_builds(monkeypatch):
+    """A list that gets the id of each statement's (pos, neg) dict
+    (`ground._Keyed`) as it is built."""
+    built = []
+    build = ground._Keyed._build
+    monkeypatch.setattr(ground._Keyed, "_build", lambda keyed: built.append(id(keyed)) or build(keyed))
+    return built
+
+
+def test_the_production_path_builds_no_keyed_dict(monkeypatch):
+    programs = reference_prefixes() + [four_by_four_search_prefix()]
+    assert len(set(programs)) == 42
+    built = counting_keyed_builds(monkeypatch)
+    solved = []
+
+    def recording(statements):
+        solved.append(ground_program(statements))
+        return solved[-1]
+
+    monkeypatch.setattr(gateway_mod, "ground_program", recording)
+    gateway_mod._solve_in_process.cache_clear()
+    _ground_skeleton.cache_clear()
+    for text in programs:
+        assert not SolverGateway().solve(text).has_error, text
+    assert len(solved) == len(programs)
+    assert built == []
+    # reading the constraints builds each statement's dict once, however
+    # many programs share the statement
+    statements = {id(keyed): keyed for gp in solved for keyed in gp.keyed}
+    for gp in solved:
+        len(gp.constraints)
+    assert sorted(built) == sorted(statements)
+    for text, gp in zip(programs, solved):
+        _ground_skeleton.cache_clear()
+        cold = grounded(text).constraints
+        assert [(c.pos, c.neg, c.source) for c in gp.constraints] == [(c.pos, c.neg, c.source) for c in cold], text
+    assert sorted(key for key in built if key in statements) == sorted(statements)
+
+
+def test_threads_reading_shared_ground_programs_build_each_dict_once(monkeypatch):
+    programs = reference_prefixes(["tattoo_parlor", "event_planning"])
+    _ground_skeleton.cache_clear()
+    shared = [grounded(text) for text in programs]
+    built = counting_keyed_builds(monkeypatch)
+    start = threading.Barrier(4)
+
+    def read(k):
+        start.wait()
+        # half the threads read the merged constraints first
+        constraints = [list(gp.constraints) for gp in shared] if k % 2 else None
+        dicts = [keyed._keyed for gp in shared for keyed in gp.keyed]
+        return dicts, constraints or [list(gp.constraints) for gp in shared]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            reads = [future.result(timeout=120) for future in [pool.submit(read, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    statements = {id(keyed): keyed for gp in shared for keyed in gp.keyed}
+    assert sorted(built) == sorted(statements)
+    dicts, constraints = reads[0]
+    for other_dicts, other_constraints in reads[1:]:
+        assert all(d is e for d, e in zip(dicts, other_dicts, strict=True))
+        assert other_constraints == constraints
+    for text, gp in zip(programs, shared):
+        _ground_skeleton.cache_clear()
+        cold = grounded(text)
+        assert [dict(keyed) for keyed in gp.keyed] == [dict(keyed) for keyed in cold.keyed], text
+        assert [(c.pos, c.neg, c.source) for c in gp.constraints] == [(c.pos, c.neg, c.source) for c in cold.constraints]
+
+
+def test_an_evicted_skeleton_is_freed_without_the_cycle_collector():
+    statements = parse_program(fixtures.reference_blocks("event_planning").full_program).statements
+    key = tuple((stmt, stmt.source_text) for stmt in statements if isinstance(stmt, (Fact, Rule, Choice)))
+    gc.collect()
+    gc.disable()
+    try:
+        _ground_skeleton.cache_clear()
+        programs = [ground_program(statements) for _ in range(2)]
+        # a dict built on read ties the skeleton no more than the route does
+        list(programs[0].constraints)
+        skeleton = weakref.ref(_ground_skeleton(key))
+        assert _ground_skeleton.cache_info().hits == 2
+        _ground_skeleton.cache_clear()
+        del programs
+        assert skeleton() is None
+    finally:
+        gc.enable()
 
 
 def test_threads_sharing_the_skeleton_cache_get_the_cold_result():
