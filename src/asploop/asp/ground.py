@@ -240,7 +240,7 @@ class GroundProgram:
     @functools.cached_property
     def constraints(self) -> Constraints:
         # copying the first statement's dict keeps its keys' stored hashes
-        merged = dict(self.keyed[0]) if self.keyed else {}
+        merged = self.keyed[0].copy() if self.keyed else {}
         ends = [len(merged)]
         for keyed in self.keyed[1:]:
             for dedup_key, pair in keyed.items():
@@ -1045,6 +1045,9 @@ class _Keyed(Mapping):
 
     def items(self):  # the dict's own view: merging reads every item
         return self._keyed.items()
+
+    def copy(self) -> dict[tuple, tuple]:  # a dict's copy, not one lookup per key
+        return self._keyed.copy()
 
 
 class _Router:

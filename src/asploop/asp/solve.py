@@ -23,7 +23,8 @@ alone, so the search is memoized on it, as component-caching model
 counters are (Thurley, sharpSAT, SAT 2006): each distinct state is
 searched once and records its model count and, in selection order, its
 selections that lead to a model. A repeat visit adds the recorded count
-and searches nothing. The recorded DAG is then walked in selection order
+and searches nothing. A count needs no model, so `Models` keeps the
+recorded DAG and walks it in selection order, on the first read of a model,
 for the first cap+1 models, the ones the search without memo finds.
 Otherwise each full selection is closed under the rules to the
 well-founded model, as the grounder does, and checked for what pruning
@@ -89,21 +90,35 @@ class Models(Sequence):
     """A solve's models, each kept as an int bitmask of atom ids. The masks
     are sorted by their sorted ids on first read: ids follow
     `ground_atom_key` order, so models come sorted by their sorted atom
-    keys. A model's GroundAtom set is built each time it is read. Equal to
-    a list or tuple of the same models in the same order."""
+    keys. A memoized solve gives its count and the memo's root `record`
+    instead: the first read walks it into masks and drops it, and a count
+    never walks. A model's GroundAtom set is built each time it is read.
+    Equal to a list or tuple of the same models in the same order."""
 
-    __slots__ = ("_atom_of", "_masks", "_sorted")
+    __slots__ = ("_atom_of", "_masks", "_sorted", "_count", "_record")
 
-    def __init__(self, atom_of: list[GroundAtom], masks: list[int]):
+    def __init__(self, atom_of: list[GroundAtom], masks: list[int], count: int | None = None,
+                 record: tuple[list, int, int] | None = None):
         self._atom_of = atom_of
         self._masks = masks
+        self._count = len(masks) if count is None else count
+        self._record = record  # (root record, facts mask, depth)
         self._sorted = False
 
     def _ordered(self) -> list[int]:
         if not self._sorted:
-            # a new list, never sorted in place: threads share cached models
-            self._masks = sorted(self._masks, key=_order_key)
+            # a new list, never sorted in place: threads share cached models;
+            # the record is read first and dropped last, once the masks are set
+            pending = self._record
+            if pending is None:
+                masks = self._masks
+            else:
+                masks = []
+                _walk(*pending, masks, self._count)
+                del masks[self._count:]
+            self._masks = sorted(masks, key=_order_key)
             self._sorted = True
+            self._record = None
         return self._masks
 
     # read-only: the skeleton's atom of each id, and the masks in model order
@@ -115,7 +130,7 @@ class Models(Sequence):
         return frozenset([atom_of[i] for i in _ids(mask)])
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return self._count
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -146,6 +161,8 @@ class _Search:
         symbols = gp.symbols
         forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
         live = [c for _, _, cands in symbols.groups for c in cands if c not in forbidden]
+        # [id]: the atom's bit, one int shared by every record that chooses it
+        self.bit = [1 << i for i in range(len(symbols.atom_of))]
         # [id]: the atom ids left open once that atom is chosen
         allowed = self.allowed = [-1] * len(symbols.atom_of)
         for route in gp.routes:
@@ -189,13 +206,10 @@ class _Search:
             return Models(self.atom_of, list(self.found)), self.total <= cap
         record = self.descend(0, self.live, self.facts)
         if self.memo is None:
-            masks = list(self.found)
-        else:
-            self.memo = None  # drop the memo: the walk reads only the records
-            masks = []
-            self.walk(0, record, self.facts, masks, cap + 1)
-            del masks[cap + 1:]
-        return Models(self.atom_of, masks), self.total <= cap
+            return Models(self.atom_of, list(self.found)), self.total <= cap
+        # the memo goes with the search; Models keeps the records for a read
+        depth = len(self.groups) - 1
+        return Models(self.atom_of, [], min(self.total, cap + 1), (record, self.facts, depth)), self.total <= cap
 
     def node(self) -> None:
         if self.budget == 0:
@@ -206,10 +220,11 @@ class _Search:
         """Search the state of group `level` and the open candidates
         `open_`: try each selection of the group's open candidates. `model`
         holds the facts and the earlier groups' selections. Stops once more
-        than cap models are counted. Returns the state's record for the
-        walk: at the last group, the atom-id bits of each selection
-        counted; before it, each selection that leads to a model, as (its
-        atom-id bits, the next state's record). Both in selection order."""
+        than cap models are counted. Returns the state's record for
+        `_walk`: at the last group, the atom-id bits of each selection
+        counted; before it, each selection that leads to a model, as its
+        atom-id bits followed by the next state's record, in one flat list.
+        Both in selection order."""
         cap = self.cap
         if level == len(self.groups) - 1:
             leaves = []
@@ -238,22 +253,10 @@ class _Search:
             else:
                 self.total += state[0]  # a repeat visit: its count, and no node
             if state[0] and memo is not None:
-                children.append((chosen, state[1]))
+                children += chosen, state[1]
             if self.total > cap:
                 break
         return children
-
-    def walk(self, level: int, record: list, model: int, masks: list[int], limit: int) -> None:
-        """Append the models below a state's `record`, in search order, to
-        `masks` until it holds at least `limit`. `model` holds the facts and
-        the earlier groups' selections."""
-        if level == len(self.groups) - 1:
-            masks.extend(map(model.__or__, record))
-            return
-        for chosen, child in record:
-            self.walk(level + 1, child, model | chosen, masks, limit)
-            if len(masks) >= limit:
-                return
 
     def selections(self, level: int, open_: int):
         """Group `level`'s selections from the open candidates in `open_`
@@ -261,9 +264,9 @@ class _Search:
         the atom-id bits it chooses and the atom ids it leaves open."""
         lower, upper, cands = self.groups[level]
         ids = _ids(open_ & cands)
-        allowed = self.allowed
+        bit, allowed = self.bit, self.allowed
         if lower == upper == 1:
-            return ((1 << c, allowed[c]) for c in ids)
+            return ((bit[c], allowed[c]) for c in ids)
         return self._selections(lower, upper, ids)
 
     def _selections(self, lower, upper, ids):
@@ -308,6 +311,21 @@ class _Search:
         self.total = len(self.found)
 
 
+def _walk(record: list, model: int, depth: int, masks: list[int], limit: int) -> None:
+    """Append the models below a state's `record`, in search order, to
+    `masks` until it holds at least `limit`. `model` holds the facts and the
+    earlier groups' selections; `depth` counts the groups after the
+    record's."""
+    if not depth:
+        masks.extend(map(model.__or__, record))
+        return
+    pairs = iter(record)
+    for chosen, child in zip(pairs, pairs):
+        _walk(child, model | chosen, depth - 1, masks, limit)
+        if len(masks) >= limit:
+            return
+
+
 def _rule_closure(base: int, rules: list[tuple[int, int, int]], negative_against: int) -> int:
     """The least model of `base` and the reduct of `rules` by `negative_against`."""
     out = base
@@ -330,8 +348,9 @@ def enumerate_models(gp: GroundProgram, cap: int = 1_000_000) -> tuple[Models, b
     sorted by their sorted atom vector, so the order never depends on
     search order. A program whose models are its selections is counted on
     a memo of search states, so its count costs one node per selection of
-    each distinct state, not one per model, and the models are then walked
-    from the memo's records.
+    each distinct state, not one per model. Its `Models` keeps the memo's
+    records and walks them into masks only when a model is read, so a
+    caller that reads only `len()` never walks.
     """
     if any(route.always_violated for route in gp.routes):
         return Models(gp.symbols.atom_of, []), True

@@ -38,9 +38,9 @@ from asploop.asp import (
 from asploop.asp import ground
 from asploop.asp.ground import UnsupportedProgram, _ground_skeleton
 from asploop.asp.syntax import AtomLit, Choice, Fact, GroundAtom, Rule
-from asploop.gateway import SolverGateway
+from asploop.gateway import SolverGateway, SolverVerdict
 from asploop.generators import ScriptedGenerator
-from asploop.rewards import reward
+from asploop.rewards import choice_rule_reward, reward
 from asploop.search import SearchConfig, run_search
 from conftest import REFSOLVER_CMD
 
@@ -499,6 +499,19 @@ def test_threads_reading_shared_ground_programs_build_each_dict_once(monkeypatch
         cold = grounded(text)
         assert [dict(keyed) for keyed in gp.keyed] == [dict(keyed) for keyed in cold.keyed], text
         assert [(c.pos, c.neg, c.source) for c in gp.constraints] == [(c.pos, c.neg, c.source) for c in cold.constraints]
+
+
+def test_merging_constraints_copies_the_first_dict_without_a_lookup_per_key(monkeypatch):
+    text = reference_prefixes(["tattoo_parlor"])[1]
+    _ground_skeleton.cache_clear()
+    cold = [(c.pos, c.neg, c.source) for c in grounded(text).constraints]
+    gp = grounded(text)
+    assert len(gp.keyed) > 1
+    lookups = []
+    getitem = ground._Keyed.__getitem__
+    monkeypatch.setattr(ground._Keyed, "__getitem__", lambda keyed, key: lookups.append(key) or getitem(keyed, key))
+    assert [(c.pos, c.neg, c.source) for c in gp.constraints] == cold
+    assert lookups == []
 
 
 def test_an_evicted_skeleton_is_freed_without_the_cycle_collector():
@@ -1200,6 +1213,102 @@ def test_the_memo_searches_each_state_once():
     reference = reference_search(grounded(ALL_DIFFERENT))
     reference.run(1_000_000)
     assert solve.NODE_BUDGET - reference.budget == 16
+
+
+def counting_walks(monkeypatch) -> list:
+    """Record the root record of each walk a read starts, not the walk's
+    own recursive calls."""
+    walks, running = [], []
+    walk = solve._walk
+
+    def counting(record, *args):
+        if not running:
+            walks.append(record)
+        running.append(record)
+        try:
+            return walk(record, *args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(solve, "_walk", counting)
+    return walks
+
+
+def test_unread_models_are_never_walked(monkeypatch):
+    walks = counting_walks(monkeypatch)
+    gateway_mod._solve_in_process.cache_clear()
+    verdict = SolverGateway().solve(fixtures.reference_blocks("tattoo_parlor").base)
+    models = verdict.models
+    assert isinstance(models, solve.Models)
+    assert (verdict.model_count, len(models), verdict.flag, bool(models)) == (13_824, 13_824, None, True)
+    assert reward(verdict).value == 1 / 13_824
+    assert choice_rule_reward(verdict, 13_824).value == 1.0
+    assert walks == []
+    first = models[0]
+    assert len(walks) == 1
+    read = list(models)
+    assert (len(walks), models._record, read[0]) == (1, None, first)
+    # the same verdict over the models as a list: the count was the walk's
+    eager = SolverVerdict(read, verdict.cap)
+    assert (reward(eager), eager.flag, len(read)) == (reward(verdict), verdict.flag, 13_824)
+
+
+def test_models_keep_no_reference_to_the_search(monkeypatch):
+    searches = []
+    init = solve._Search.__init__
+    monkeypatch.setattr(solve._Search, "__init__", lambda search, gp: searches.append(weakref.ref(search))
+                        or init(search, gp))
+    gp = grounded(fixtures.reference_blocks("tattoo_parlor").base)
+    gc.collect()
+    gc.disable()
+    try:
+        models, exhausted = enumerate_models(gp)
+        assert len(searches) == 1
+        assert searches[0]() is None
+    finally:
+        gc.enable()
+    assert (len(models), exhausted) == (13_824, True)
+    assert models[:3] == list(reference_enumerate(gp, cap=13_824)[0])[:3]
+
+
+def test_threads_first_reading_memoized_models_see_the_reference_models():
+    # each round's Models is fresh, so one of the threads walks its record
+    gp = grounded(ALL_DIFFERENT.replace("i(1;2;3). v(1;2;3).", "i(1;2;3;4;5;6). v(1;2;3;4;5;6)."))
+    expected = list(reference_enumerate(gp)[0])
+    assert len(expected) == 720
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            models, _ = enumerate_models(gp)
+            assert models._record is not None
+            start = threading.Barrier(8)
+
+            def read(models=models):
+                start.wait()
+                return len(models), list(models)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reads = [future.result(timeout=60) for future in [pool.submit(read) for _ in range(8)]]
+            assert reads == [(720, expected)] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_repeat_visit_past_the_cap_keeps_the_first_cap_plus_one_models(monkeypatch):
+    # four all-different groups: after a(1,2), a(2,1) the third group's
+    # state is the one met after a(1,1), a(2,2), holding 2 models; with a
+    # cap of 6 it is met when 6 are counted and carries the count to 8
+    text = ALL_DIFFERENT.replace("i(1;2;3). v(1;2;3).", "i(1;2;3;4). v(1;2;3;4).")
+    gp = grounded(text)
+    search = solve._Search(gp)
+    models, exhausted = search.run(6)
+    assert (search.total, len(models), exhausted) == (8, 7, False)
+    walks = counting_walks(monkeypatch)
+    expected, expected_exhausted = reference_enumerate(gp, cap=6)
+    assert (len(expected), expected_exhausted) == (7, False)
+    assert list(models) == list(expected)
+    assert len(walks) == 1
 
 
 # Random programs whose terms are drawn from variables, `_`, constants,
