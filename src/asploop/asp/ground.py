@@ -618,7 +618,11 @@ class _Join:
         lines += [f"        {line}" for line in ("get = by_pred.get", "budget = JOIN_BUDGET", "tried = 0", *prologue)]
         lines += self.lines
         lines.append("    return join")
-        return _factory("\n".join(lines) + "\n")(tuple(self.constants), self.plan.source)
+        try:
+            make = _factory("\n".join(lines) + "\n")
+        except SyntaxError as exc:  # nested past what Python compiles
+            raise GroundingError(f"cannot compile the join: {exc.msg}", self.plan.source) from None
+        return make(tuple(self.constants), self.plan.source)
 
 
 def _instances(plan: _Plan) -> Callable:

@@ -101,6 +101,11 @@ _UNSUPPORTED_TOKENS = {
 
 _TWO_CHAR = (":-", ":~", "==", "!=", "<=", ">=", "..")
 _ONE_CHAR = ".,;:(){}=<>+-#*/\\@|?&"
+# A term nests at most this deep (each parenthesis, tuple and `+`/`-` is a level);
+# deeper ones overflow recursion or a generated join's nesting (a 68-term sum does).
+MAX_TERM_DEPTH = 32
+# ASCII only, as clingo lexes: `²`, `١` and `é` are unexpected characters
+_WORD = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
 
 
 class LexError(Exception):
@@ -133,17 +138,21 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start_line, start_col = line, col
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # longer than Python converts
+                raise LexError(f"integer literal of {j - i} digits is too long", start_line, start_col) from None
             tokens.append(Token("NUM", text[i:j], start_line, start_col))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _WORD:  # not a digit, lexed above
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _WORD:
                 j += 1
             word = text[i:j]
             if word == "not":
@@ -194,6 +203,7 @@ class _Parser:
         # the last resync stopped on: parsing the tokens from here on does
         # not depend on anything before it
         self.boundary = 0
+        self.open = self.depth = 0  # parentheses open around a term; the last term's depth
 
     # -- token helpers ----------------------------------------------------
 
@@ -228,12 +238,19 @@ class _Parser:
         if tok.type == "OP" and tok.text in _UNSUPPORTED_TOKENS:
             raise self.unsupported(_UNSUPPORTED_TOKENS[tok.text], tok)
 
+    def nest(self, depth: int, tok: Token) -> int:
+        """One level above `depth`, at `tok`; refuses one past MAX_TERM_DEPTH."""
+        if depth >= MAX_TERM_DEPTH:
+            raise self.unsupported(f"term nested deeper than {MAX_TERM_DEPTH} levels", tok)
+        return depth + 1
+
     # -- statement-level driver -------------------------------------------
 
     def parse(self) -> ParseResult:
         result = ParseResult()
         while self.peek().type != "EOF":
             start = self.pos
+            self.open = 0
             try:
                 stmts = self.statement()
                 end = self.pos
@@ -416,18 +433,22 @@ class _Parser:
         """Parse an additive term. The bool flags whether the parse could also
         be read as an atom (bare identifier or identifier with arguments)."""
         left, atom_shape = self.primary()
+        depth = self.depth
         while self.peek().type == "OP" and self.peek().text in ("+", "-"):
-            op = self.next().text
+            op = self.next()
             right, _ = self.primary()
             if isinstance(left, _FuncShape) or isinstance(right, _FuncShape):
                 raise self.error("arithmetic over a function term is not supported")
-            left = Arith(op=op, lhs=left, rhs=right)
+            left = Arith(op=op.text, lhs=left, rhs=right)
+            depth = self.nest(max(depth, self.depth), op)
             atom_shape = False
+        self.depth = depth
         return left, atom_shape
 
     def primary(self) -> tuple[Term, bool]:
         tok = self.peek()
         self.check_unsupported(tok)
+        self.depth = 0
         if tok.type == "NUM":
             self.next()
             return Num(int(tok.text)), False
@@ -454,11 +475,16 @@ class _Parser:
             return Sym(tok.text), True
         if tok.type == "OP" and tok.text == "(":
             self.next()
+            self.open = self.nest(self.open, tok)
             items = [self.term()]
+            depth = self.depth
             while self.peek().type == "OP" and self.peek().text == ",":
                 self.next()
                 items.append(self.term())
+                depth = max(depth, self.depth)
             self.expect(")")
+            self.open -= 1
+            self.depth = self.nest(depth, tok)
             if len(items) == 1:
                 return items[0], False
             return Tup(items=tuple(items)), False
@@ -469,13 +495,16 @@ class _Parser:
         tuple of terms per pool alternative. No parens means zero arity."""
         if not (self.peek().type == "OP" and self.peek().text == "("):
             return [()]
-        self.next()
+        paren = self.next()
+        self.open = self.nest(self.open, paren)
+        depth = 0
         pools: list[tuple[Term, ...]] = []
         current: list[Term] = []
         if self.peek().type == "OP" and self.peek().text == ")":
             raise self.error("empty argument list")
         while True:
             current.append(self.term())
+            depth = max(depth, self.depth)
             tok = self.peek()
             if tok.type == "OP" and tok.text == ",":
                 self.next()
@@ -488,6 +517,8 @@ class _Parser:
             if tok.type == "OP" and tok.text == ")":
                 self.next()
                 pools.append(tuple(current))
+                self.open -= 1
+                self.depth = self.nest(depth, paren)
                 return pools
             self.check_unsupported(tok)
             raise self.error(f"expected ',', ';' or ')' in arguments, found {tok.text!r}", tok)

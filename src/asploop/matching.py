@@ -10,20 +10,17 @@ The models of one instance's programs share a small vocabulary: the same
 atoms, and so the same items, recur from model to model. A `GroundTruth`
 holds what both stages need of the ground truth (the raw rows, and the
 normalized row set of every column order) and what recurs in the models:
-each atom's surface row, rendered when the atom is first met, and a ranked
-vocabulary. That is, for each ground-truth item, the model items met so far
-sorted by (edit distance, not-contained, item); each pair's distance is
-computed once, when the model item is first met. A model is then matched in
-one pass: each ground-truth item walks its ranking only to the first tier
-that holds an item of the model. Datagen builds one `GroundTruth` per
-`run_dfs`, passes it to every `match_solution` call, and keeps in it
-whether each distinct model matched (`GroundTruth.members`); nothing else
-here caches across calls.
+each atom's surface row, rendered when the atom is first met, and for each
+distinct set of model items its `closest_items` table: each ground-truth
+item's least (edit distance, not-contained) tier of those items. A model
+is then matched by looking up the lowest row holding an item of each
+tier. Datagen builds one `GroundTruth` per `run_dfs`, passes it to every
+`match_solution` call, and keeps in it whether each distinct model matched
+(`GroundTruth.members`); nothing else here caches across calls.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import permutations
 
 from .asp import GroundAtom
@@ -77,55 +74,24 @@ class MatchReport:
         self.diagnostics = [] if diagnostics is FRESH else diagnostics
 
 
-class Vocabulary:
-    """The model items met so far, ranked for each item of one ground truth.
-
-    `rankings[gt_item]` lists every item in `met` as (edit distance,
-    0 if one string contains the other else 1, item), sorted.
-    """
-
-    __slots__ = ("met", "rankings")
-
-    def __init__(self, gt_rows: list[tuple[str, ...]]):
-        self.met: set[str] = set()
-        self.rankings: dict[str, list[tuple[int, int, str]]] = {
-            gt_item: [] for row in gt_rows for gt_item in row
+def closest_items(gt_rows: list[tuple[str, ...]], items: frozenset[str]) -> dict[str, list[str]]:
+    """For each ground-truth item, the model `items` in its least (edit
+    distance, 0 if one string contains the other else 1) tier."""
+    table = {}
+    for gt_item in dict.fromkeys(gt_item for row in gt_rows for gt_item in row):
+        keys = {
+            item: (edit_distance(gt_item, item), 0 if gt_item in item or item in gt_item else 1)
+            for item in items
         }
-
-    def meet(self, model_items) -> None:
-        """Rank each model item not met before, one distance per
-        ground-truth item."""
-        for model_item in model_items - self.met:
-            self.met.add(model_item)
-            for gt_item, ranking in self.rankings.items():
-                contained = gt_item in model_item or model_item in gt_item
-                insort(
-                    ranking,
-                    (edit_distance(gt_item, model_item), 0 if contained else 1, model_item),
-                )
-
-
-def _closest_row(ranking: list[tuple[int, int, str]], lowest: dict[str, int]) -> int:
-    """The lowest row among the model's items in the first (distance,
-    not-contained) tier of `ranking` that holds one of them."""
-    tier = best = None
-    for distance, loose, item in ranking:
-        j = lowest.get(item)
-        if j is None:
-            continue
-        if best is None:
-            tier, best = (distance, loose), j
-        elif (distance, loose) != tier:
-            break
-        elif j < best:
-            best = j
-    return best
+        least = min(keys.values())
+        table[gt_item] = [item for item, key in keys.items() if key == least]
+    return table
 
 
 def levenshtein_match(
     gt_rows: list[tuple[str, ...]],
     model_rows: list[tuple[str, ...]],
-    vocabulary: Vocabulary | None = None,
+    closest: dict[frozenset, dict[str, list[str]]] | None = None,
 ) -> MatchReport:
     """Match ground-truth rows to model rows by per-item edit distance.
 
@@ -136,13 +102,10 @@ def levenshtein_match(
     no model row is claimed twice. Model rows without a single item match
     nothing.
 
-    The closest item is read from the ground truth's `Vocabulary`: the
-    first tier of the item's ranking that holds an item of the model, and
-    the lowest row holding one in that tier. `vocabulary` must be the
-    `Vocabulary` of `gt_rows`; it is extended with the model's items. Pass
-    the same one to calls over one ground truth to compute each pair's
-    distance once (see `GroundTruth`); without one, the items are ranked
-    for this call.
+    `closest` maps each set of model items met to its `closest_items`
+    table for `gt_rows`, and is extended with the model's. Pass the same
+    one to calls over one ground truth to build each set's table once (see
+    `GroundTruth`); without one, the table is built for this call.
     """
     lowest: dict[str, int] = {}  # model item -> the lowest row holding it
     for j, row in enumerate(model_rows, start=1):
@@ -152,13 +115,14 @@ def levenshtein_match(
         return MatchReport(
             matched=False, method="levenshtein", diagnostics=["model rows have no items"]
         )
-    if vocabulary is None:
-        vocabulary = Vocabulary(gt_rows)
-    vocabulary.meet(lowest.keys())
-    rankings = vocabulary.rankings
+    closest = {} if closest is None else closest
+    items = frozenset(lowest)
+    table = closest.get(items)
+    if table is None:
+        table = closest[items] = closest_items(gt_rows, items)
 
     matrix = [
-        [(i, _closest_row(rankings[gt_item], lowest)) for gt_item in row]
+        [(i, min(map(lowest.__getitem__, table[gt_item]))) for gt_item in row]
         for i, row in enumerate(gt_rows, start=1)
     ]
 
@@ -205,13 +169,13 @@ class GroundTruth:
     order to its rows in that order; when two orders give one set, the
     first in `permutations` order keeps it. `surfaces` caches each model
     atom's row of argument surfaces, rendered when the atom is first met.
-    `vocabulary` is the Levenshtein stage's `Vocabulary` of `rows`:
-    for each ground-truth item, the model items met so far, ranked by
-    (edit distance, not-contained, item). `members` maps a model's key
-    (`model_keys`: its atoms of the target predicate, all `match_solution`
-    reads once the predicate is fixed) to whether it matched. All grow
-    with the distinct atoms, items, models and skeletons met, so a
-    `GroundTruth` should live as long as one batch of matching, not longer.
+    `closest` is the Levenshtein stage's memo of `closest_items` over
+    `rows`, keyed by the frozenset of a model's items. `members` maps a
+    model's key (`model_keys`: its atoms of the target predicate, all
+    `match_solution` reads once the predicate is fixed) to whether it
+    matched. All grow with the distinct atoms, item sets, models and
+    skeletons met, so a `GroundTruth` should live as long as one batch of
+    matching, not longer.
     """
 
     def __init__(self, instance: PuzzleInstance):
@@ -222,7 +186,7 @@ class GroundTruth:
             permuted = [tuple(row[c] for c in perm) for row in normalized]
             self.exact.setdefault(frozenset(permuted), permuted)
         self.surfaces: dict[GroundAtom, tuple[str, ...]] = {}
-        self.vocabulary = Vocabulary(self.rows)
+        self.closest: dict[frozenset, dict[str, list[str]]] = {}
         self.members: dict = {}  # model key -> matched
         self._lists: dict = {}  # (id(atom_of), predicate) -> (atom_of, predicate mask)
 
@@ -305,4 +269,4 @@ def match_solution(
             item_matrix=matrix,
         )
 
-    return levenshtein_match(truth.rows, model_rows, truth.vocabulary)
+    return levenshtein_match(truth.rows, model_rows, truth.closest)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from asploop.asp import parse_program, parser, render_program, render_statement
 from asploop.asp.parser import _parse_block, _parse_whole
@@ -144,6 +144,9 @@ def test_out_of_fragment_constructs_are_unsupported(text):
     assert not result.errors, text
 
 
+TOO_DEEP = f"unsupported construct: term nested deeper than {parser.MAX_TERM_DEPTH} levels"
+
+
 @pytest.mark.parametrize(
     "text, diagnostics, atoms",
     [
@@ -162,12 +165,44 @@ def test_out_of_fragment_constructs_are_unsupported(text):
         ("p(-3).", [], [Atom("p", (Num(-3),))]),
         # a constant followed by + or - starts a term, not a 0-ary atom
         ("q :- b - 1.", [("error", "expected an atom or a comparison", 1, 6)], []),
+        # digits and letters are ASCII, as in clingo
+        ("p(²).", [("error", "unexpected character '²'", 1, 3)], []),
+        ("² {a}.", [("error", "unexpected character '²'", 1, 1)], []),
+        ("p(١).", [("error", "unexpected character '١'", 1, 3)], []),
+        ("p(é).", [("error", "unexpected character 'é'", 1, 3)], []),
+        pytest.param("p(" + "9" * 5000 + ").", [("error", "integer literal of 5000 digits is too long", 1, 3)], [],
+                     id="5000-digit literal"),
+        # a term nested past the bound is refused at the level past it
+        pytest.param("p(" + "+".join(["1"] * 68) + ").", [("unsupported", TOO_DEEP, 1, 68)], [], id="68-term sum"),
+        pytest.param("p(" + "+".join(["1"] * 33) + ").", [("unsupported", TOO_DEEP, 1, 2)], [], id="33-term sum"),
+        pytest.param("p(" + "(" * 197 + "1" + ",1)" * 197 + ").", [("unsupported", TOO_DEEP, 1, 34)], [],
+                     id="tuple nested 197 deep"),
+        pytest.param("p(" + "(" * 1200 + "1" + ")" * 1200 + ").", [("unsupported", TOO_DEEP, 1, 34)], [],
+                     id="1200 parentheses"),
+        pytest.param("p(f(" * 600 + "1" + "))" * 600 + ".", [("unsupported", TOO_DEEP, 1, 66)], [],
+                     id="function terms nested 600 deep"),
     ],
 )
 def test_diagnostics_name_the_construct_and_position(text, diagnostics, atoms):
     result = parse_program(text)
     assert [(d.severity, d.message, d.line, d.col) for d in result.diagnostics] == diagnostics
     assert [s.atom for s in result.statements] == atoms
+
+
+@given(st.text())
+@example("p(²).")
+@example("² {a}.")
+@example("p(١).")
+@example("p(é).")
+@example("p(" + "9" * 5000 + ").")
+@example("p(" + "+".join(["1"] * 68) + ").")
+@example("p(" + "+".join(["1"] * 1500) + ").")
+@example("p(" + "(" * 197 + "1" + ",1)" * 197 + ").")
+@example("p(" + "(" * 1200 + "1" + ")" * 1200 + ").")
+@example("".join(f"q{i}.\n" for i in range(92)) + ":- " + ", ".join(f"q{i}" for i in range(92)) + ".")
+def test_parsing_never_raises(text):
+    result = parse_program(text)
+    assert all(d.severity in ("error", "unsupported") for d in result.diagnostics)
 
 
 def test_recovery_continues_after_bad_statement():

@@ -197,6 +197,22 @@ def test_dfs_edit_distances_stay_within_the_vocabulary(gateway, monkeypatch):
     assert 0 < calls <= len(gt_items) * len(met)
 
 
+def test_dfs_builds_one_closest_items_table(gateway, monkeypatch):
+    # every model that reaches the edit-distance stage holds the same items
+    tables = []
+    closest_items = matching.closest_items
+
+    def recording(gt_rows, items):
+        tables.append(items)
+        return closest_items(gt_rows, items)
+
+    monkeypatch.setattr(matching, "closest_items", recording)
+    instance = fixtures.puzzle("event_planning")
+    generator = ScriptedGenerator(fixtures.scripted_path("datagen_splits"))
+    run_dfs(instance, generator, DfsConfig(), gateway)
+    assert len(tables) == 1
+
+
 def test_classification_cap_scales_with_instance():
     event = fixtures.puzzle("event_planning")
     assert classification_cap(event, None) == 4 * event.expected_model_count

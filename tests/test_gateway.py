@@ -127,6 +127,35 @@ def test_auto_backend_parses_each_program_once(monkeypatch):
     assert len(calls) == 2
 
 
+MALFORMED = {
+    "superscript digit": "p(²).",
+    "superscript bound": "² {a}.",
+    "arabic-indic digit": "p(١).",
+    "accented letter": "p(é).",
+    "5000-digit literal": "p(" + "9" * 5000 + ").",
+    "68-term sum": "p(" + "+".join(["1"] * 68) + ").",
+    "1500-term sum": "p(" + "+".join(["1"] * 1500) + ").",
+    "tuple nested 197 deep": "p(" + "(" * 197 + "1" + ",1)" * 197 + ").",
+    "1200 parentheses": "p(" + "(" * 1200 + "1" + ")" * 1200 + ").",
+    "92 positive body atoms": "".join(f"q{i}.\n" for i in range(92))
+    + ":- " + ", ".join(f"q{i}" for i in range(92)) + ".",
+}
+
+
+@pytest.mark.parametrize("backend", ["internal", "auto"])
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_programs_are_error_verdicts(monkeypatch, backend, text):
+    monkeypatch.delenv("ASPLOOP_SOLVER_CMD", raising=False)
+    verdict = SolverGateway(backend=backend).solve(text)
+    assert verdict.has_error
+    assert verdict.diagnostics
+
+
+def test_a_thirty_term_sum_solves():
+    verdict = SolverGateway().solve("p(" + "+".join(["1"] * 30) + ").")
+    assert [rendered(model) for model in verdict.models] == [["p(30)"]]
+
+
 @pytest.mark.parametrize("cmd", [REFSOLVER_CMD_STR, REFSOLVER_CMD], ids=["str", "list"])
 def test_external_backend_matches_internal(cmd):
     internal = SolverGateway()

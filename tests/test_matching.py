@@ -8,7 +8,7 @@ from asploop.asp import GroundAtom
 from asploop.matching import (
     GroundTruth,
     MatchReport,
-    Vocabulary,
+    closest_items,
     edit_distance,
     levenshtein_match,
     match_solution,
@@ -227,24 +227,19 @@ surface_rows = st.lists(st.tuples(surfaces, surfaces), min_size=1, max_size=3)
 
 @given(surface_rows, st.lists(surface_rows, min_size=1, max_size=4))
 def test_shared_closeness_table_matches_a_fresh_one(gt_rows, models):
-    vocabulary = Vocabulary(gt_rows)
+    closest = {}
     for model_rows in models:
-        assert levenshtein_match(gt_rows, model_rows, vocabulary) == levenshtein_match(
+        assert levenshtein_match(gt_rows, model_rows, closest) == levenshtein_match(
             gt_rows, model_rows
         )
-    for gt_item, ranking in vocabulary.rankings.items():
-        assert ranking == sorted(ranking)
-        assert len(ranking) == len(vocabulary.met)
-        assert {model_item for _, _, model_item in ranking} == vocabulary.met
-        for distance, loose, model_item in ranking:
-            contained = gt_item in model_item or model_item in gt_item
-            assert (distance, loose) == (
-                edit_distance(gt_item, model_item), 0 if contained else 1
-            )
+    item_sets = {frozenset(item for row in model_rows for item in row) for model_rows in models}
+    assert closest.keys() == item_sets
+    for items, table in closest.items():
+        assert table == closest_items(gt_rows, items)
 
 
 def all_pairs_levenshtein_match(gt_rows, model_rows, closeness=None):
-    """The all-pairs matcher the ranked vocabulary replaced, kept verbatim
+    """The all-pairs matcher the closest-items tables replaced, kept verbatim
     as the reference: every ground-truth item against every model item."""
     items = [(j, item) for j, row in enumerate(model_rows, start=1) for item in row]
     if not items:
@@ -295,8 +290,8 @@ tie_rows = st.lists(st.lists(tie_items, max_size=3).map(tuple), max_size=4)
 
 
 @given(tie_rows, st.lists(tie_rows, min_size=1, max_size=5))
-# a distance tie between different items in different rows: the ranking
-# meets "aa" (row 2) first, but row 1's "bb" is in the same tier
+# a distance tie between different items in different rows: row 2's "aa"
+# and row 1's "bb" are in the same tier
 @example([("ab",)], [[("bb",), ("aa",)]])
 # one item in several rows: the lowest row holding it is its cell
 @example([("a", "x"), ("b", "y")], [[("b", "a"), ("a", "y"), ("x", "b")]])
@@ -304,15 +299,15 @@ tie_rows = st.lists(st.lists(tie_items, max_size=3).map(tuple), max_size=4)
 @example([("", "ab"), ("b", "")], [[("ab", ""), ("", "b")], [("bb", "a"), ("", "")]])
 # rows with no items, and a model with no item at all
 @example([("a", "b")], [[(), ("a", "b")], [(), ()], [("b",), (), ("a",)]])
-# items first met in a late model rank ahead of ones met earlier
+# items first met in a late model are closer than ones met earlier
 @example(
     [("ab", "ba")],
     [[("bbb", "aaa")], [("bbb", "aaa"), ("b", "a")], [("ba", "bbb"), ("ab", "aaa")]],
 )
 def test_ranked_vocabulary_matches_the_all_pairs_matcher(gt_rows, models):
-    vocabulary = Vocabulary(gt_rows)
+    closest = {}
     for model_rows in models:
-        report = levenshtein_match(gt_rows, model_rows, vocabulary)
+        report = levenshtein_match(gt_rows, model_rows, closest)
         reference = all_pairs_levenshtein_match(gt_rows, model_rows)
         for name in MatchReport.__match_args__:
             assert getattr(report, name) == getattr(reference, name), name
