@@ -35,6 +35,15 @@ order, and every cardinality element is evaluated: deciding either earlier
 could skip an instance whose arithmetic raises. A join that tries more than
 JOIN_BUDGET atoms raises GroundingError.
 
+A constraint statement's join walks the possible atoms with their interned
+ids alongside (`_Buckets`), so it never looks an id up. A level whose atom
+has a constant, or a variable an earlier level bound, at a position that
+no arithmetic argument precedes walks only the atoms with that value
+there, in bucket order: an atom it skips fails that test, and could not
+have raised before it, so the matches, their order and the first error
+stay those of the full walk. Such a level still counts its whole bucket
+against JOIN_BUDGET, so the same joins are refused.
+
 A constraint statement that swapping its variables maps onto itself, such
 as every puzzle's pairwise rule `{P1 = P2; ...} = 0 :- a(P1, ..), a(P2, ..),
 (P1, ..) != (P2, ..)`, joins only one match of each mirrored pair
@@ -151,10 +160,11 @@ class Symbols:
     never changed after, so threads share it. Facts, choice candidates and
     rule atoms are interned; any other atom is false in every model. Ids
     follow `ground_atom_key` order, so sorting ids sorts their atoms.
-    `special` holds the fact and derivable ids, and None, which `id_get`
-    gives an uninterned atom: a constraint on them is routed atom by atom."""
+    `special` holds the fact and derivable ids, and None, an uninterned
+    atom's id: a constraint on them is routed atom by atom. `bits` holds
+    each id's bit, one int shared by every mask that sets it."""
 
-    __slots__ = ("atom_of", "id_of", "fact_ids", "groups", "rules", "derivable", "special")
+    __slots__ = ("atom_of", "id_of", "fact_ids", "groups", "rules", "derivable", "special", "bits")
 
     def __init__(self, facts, choices: list[GroundChoice], rules: list[GroundRule]):
         atoms = dict.fromkeys(itertools.chain(
@@ -169,6 +179,7 @@ class Symbols:
         ]
         self.derivable = frozenset(head for head, _, _ in self.rules)
         self.special = self.fact_ids | self.derivable | {None}
+        self.bits = [1 << i for i in range(len(self.atom_of))]
 
 
 @value_type(frozen=True)
@@ -273,7 +284,11 @@ class GroundProgram:
 # statements that differ only in names and constants share one code object
 # (`_factory`). A generated function keeps no state, so threads share it.
 #
-# Every loop counts the atoms it tries against JOIN_BUDGET, per call.
+# Every loop counts the atoms it tries against JOIN_BUDGET, per call. A
+# constraint join's buckets do not grow while it runs, so its levels may
+# walk an index by one argument's value (`indexed_loops`); an indexed level
+# adds its whole bucket's length to the count as it starts, which is what a
+# walk of the whole bucket adds by its end.
 
 JOIN_BUDGET = 1_000_000
 
@@ -392,6 +407,17 @@ class _Plan:
         self.source = source
 
 
+def _index_position(args, bound) -> int | None:
+    """The first position of `args` that holds a constant or a variable in
+    `bound`, unless an argument before it holds arithmetic; else None."""
+    for position, arg in enumerate(args):
+        if isinstance(arg, (Num, Sym)) or isinstance(arg, Var) and arg.name in bound:
+            return position
+        if _has_arith((arg,)):
+            return None
+    return None
+
+
 def _symbolic(source: str):
     raise GroundingError("arithmetic over a symbolic constant", source)
 
@@ -428,6 +454,8 @@ class _Join:
         self.constants: list = []
         self.temps = 0
         self.lines: list[str] = []
+        # lines run once per call, before the loops
+        self.prologue: list[str] = []
         self.depth = 2
         # how an instance is dropped: inside the loops, or with no loops
         self.reject = "continue" if plan.levels else "return"
@@ -510,18 +538,19 @@ class _Join:
             return f"(not {test})" if cmp.negated else test
         return self.compare(self.term(lhs), cmp.op, self.term(rhs), cmp.negated)
 
-    def match(self, patterns, values: str) -> None:
+    def match(self, patterns, values: str, indexed: int | None = None) -> None:
         """Unpack `values`, a tuple the size of `patterns`, and test it
         against them in order. A variable's first occurrence is unpacked
         into its local; a later occurrence, a constant, arithmetic or a
-        tuple pattern into a temporary that is then tested."""
+        tuple pattern into a temporary that is then tested. The pattern at
+        position `indexed` is skipped: the index walked holds only matches."""
         bound = dict.fromkeys(self.names)
         targets, fresh, tests = [], [], []
-        for pattern in patterns:
+        for position, pattern in enumerate(patterns):
             if isinstance(pattern, Var) and pattern.name not in bound:
                 targets.append(self.local(pattern.name))
                 fresh.append(pattern.name)
-            elif isinstance(pattern, Anon):
+            elif isinstance(pattern, Anon) or position == indexed:
                 targets.append("_")
             else:
                 targets.append(self.temp())
@@ -537,34 +566,68 @@ class _Join:
             else:
                 self.emit(f"if {name} != {self.term(pattern)}: {self.reject}")
 
-    def loops(self, mirror: tuple[int, int] | None = None, ids: bool = False) -> None:
-        """One loop per level, each nested in the one before. Buckets are
-        walked live: an atom appended to a bucket while its loop runs is
-        still tried. With `mirror` = (i, j), level j walks its bucket from
-        the position of level i's atom on (`_mirror`); the index must not
-        grow meanwhile. With `ids`, each choice-dependent atom's id, or None,
-        is looked up at its level."""
-        for level, (atom, key, dep) in enumerate(self.plan.levels):
-            if level and level % _NESTED_LOOPS == 0:
-                # Python nests at most 20 blocks in one function: the
-                # levels from here on go in a function of their own
-                self.emit(f"def deeper{level}(tried):")
-                self.depth += 1
-                self.deeper.append((level, self.depth))
-            bucket = f"get({self.constant(key)}, ())"
-            if mirror and level == mirror[0]:
-                self.emit(f"for p{level}, a{level} in enumerate({bucket}):")
-            elif mirror and level == mirror[1]:
-                self.emit(f"for a{level} in itertools.islice({bucket}, p{mirror[0]}, None):")
-            else:
-                self.emit(f"for a{level} in {bucket}:")
+    def loops(self) -> None:
+        """One loop per level, each nested in the one before, over the
+        index `by_pred`. Buckets are walked live: an atom appended to a
+        bucket while its loop runs is still tried."""
+        self.prologue.append("get = by_pred.get")
+        for level, (atom, key, _) in enumerate(self.plan.levels):
+            self.nest(level)
+            self.emit(f"for a{level} in get({self.constant(key)}, ()):")
             self.depth += 1
             self.emit("tried += 1")
             self.emit("if tried > budget: _over_budget(source)")
             if atom.args:
                 self.match(atom.args, f"a{level}.args")
-            if ids and dep:
-                self.emit(f"i{level} = id_get(a{level})")
+
+    def indexed_loops(self, mirror: tuple[int, int] | None = None) -> None:
+        """One loop per level, each nested in the one before, over the
+        fixed index `buckets` (`_Buckets`), reading each atom with its id as
+        a{level}, i{level}. A level whose atom has a constant, or a variable
+        an earlier level bound, at a position that no arithmetic precedes
+        walks only the atoms with that value there, in bucket order, and
+        counts the whole bucket against JOIN_BUDGET as it starts. With
+        `mirror` = (i, j), level j walks its bucket from the position of
+        level i's atom on (`_mirror`), and neither level is narrowed."""
+        self.prologue.append("pairs, by_value = buckets.pairs.get, buckets.by_value")
+        for level, (atom, key, _) in enumerate(self.plan.levels):
+            self.nest(level)
+            k = self.constant(key)
+            position = None if mirror and level in mirror else _index_position(atom.args, self.names)
+            if position is None:
+                self.prologue.append(f"b{level} = pairs({k}, ())")
+                if mirror and level == mirror[0]:
+                    self.emit(f"for p{level}, (a{level}, i{level}) in enumerate(b{level}):")
+                elif mirror and level == mirror[1]:
+                    self.emit(f"for a{level}, i{level} in itertools.islice(b{level}, p{mirror[0]}, None):")
+                else:
+                    self.emit(f"for a{level}, i{level} in b{level}:")
+                self.depth += 1
+                self.emit("tried += 1")
+                self.emit("if tried > budget: _over_budget(source)")
+            else:
+                self.prologue.append(f"n{level} = len(pairs({k}, ()))")
+                value = atom.args[position]
+                if isinstance(value, Var):
+                    self.prologue.append(f"s{level} = by_value({k}, {position})")
+                    bucket = f"s{level}.get({self.names[value.name]}, ())"
+                else:  # a constant: the same atoms on every pass
+                    self.prologue.append(f"b{level} = by_value({k}, {position}).get({self.term(value)}, ())")
+                    bucket = f"b{level}"
+                self.emit(f"tried += n{level}")
+                self.emit("if tried > budget: _over_budget(source)")
+                self.emit(f"for a{level}, i{level} in {bucket}:")
+                self.depth += 1
+            if atom.args:
+                self.match(atom.args, f"a{level}.args", position)
+
+    def nest(self, level: int) -> None:
+        if level and level % _NESTED_LOOPS == 0:
+            # Python nests at most 20 blocks in one function: the levels
+            # from here on go in a function of their own
+            self.emit(f"def deeper{level}(tried):")
+            self.depth += 1
+            self.deeper.append((level, self.depth))
 
     def residue(self) -> tuple[list[str], list[str]]:
         """Emit the checks of an instance over the possible atoms against
@@ -603,7 +666,7 @@ class _Join:
             self.emit(f"if {unseen}: {target}.append({name})")
         self.emit(f"{target} = tuple({target})")
 
-    def function(self, params: str, prologue: tuple[str, ...] = ()) -> Callable:
+    def function(self, params: str) -> Callable:
         """The compiled join function, taking `params`."""
         for level, depth in reversed(self.deeper):
             self.depth = depth
@@ -615,7 +678,7 @@ class _Join:
         if constants:
             lines.append(f"    {constants}= K")
         lines.append(f"    def join({params}):")
-        lines += [f"        {line}" for line in ("get = by_pred.get", "budget = JOIN_BUDGET", "tried = 0", *prologue)]
+        lines += [f"        {line}" for line in ("budget = JOIN_BUDGET", "tried = 0", *self.prologue)]
         lines += self.lines
         lines.append("    return join")
         try:
@@ -640,8 +703,9 @@ def _instances(plan: _Plan) -> Callable:
         join.emit(f"yield {join.atom(plan.head)}")
     else:
         join.emit(f"yield {join.display(join.names[name] for name in plan.variables)}")
-    prologue = (f"{', '.join(join.local(name) for name in plan.outer)}, = init",) if plan.outer else ()
-    return join.function("by_pred, negative, init", prologue)
+    if plan.outer:
+        join.prologue.append(f"{', '.join(join.local(name) for name in plan.outer)}, = init")
+    return join.function("by_pred, negative, init")
 
 
 def _rule_instances(plan: _Plan) -> Callable:
@@ -662,9 +726,9 @@ def _rule_instances(plan: _Plan) -> Callable:
 
 
 def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Callable:
-    """join(by_pred, base, out, router, keep): a constraint's instances, or
+    """join(buckets, base, out, router, keep): a constraint's instances, or
     a cardinality-equality head's instances whose count is off, over the
-    possible atoms `by_pred` that can still fire, resolved against the base
+    possible atoms `buckets` that can still fire, resolved against the base
     atoms, each filed in `router` by its dedup key (`_dedup_key`): a key
     of one or two atom ids outside `Symbols.special` inline, and any other
     through `router.file`, once, after its (pos, neg) is added to `out`
@@ -676,10 +740,10 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
         _require_bound((el.lhs, el.rhs), set(plan.variables), plan.source)
     dep = [level for level, (_, _, dependent) in enumerate(plan.levels) if dependent]
     # with at most two choice-dependent positive atoms and no choice-dependent
-    # negated one, the dedup key is built here from ids looked up per level
+    # negated one, the dedup key is built here from the ids the buckets carry
     inline = len(dep) <= 2 and not any(dependent for _, dependent in plan.negs)
     join = _Join(plan)
-    join.loops(_mirror(stmt, plan), ids=inline)
+    join.indexed_loops(_mirror(stmt, plan))
     pos, neg = join.residue()
     if elements:
         _count(join, stmt)
@@ -696,7 +760,7 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
         if len(dep) > 1:
             b, j = f"a{dep[1]}", f"i{dep[1]}"
             fast = f"{b} is not {a} and {i} not in special and {j} not in special"
-            filed = f"partners[{i}] = partner({i}, 0) | 1 << {j}; partners[{j}] = partner({j}, 0) | 1 << {i}"
+            filed = f"partners[{i}] = partner({i}, 0) | bit[{j}]; partners[{j}] = partner({j}, 0) | bit[{i}]"
         # one or two interned atom ids are filed inline, which filing again
         # leaves as it is, so their key is stored only with `keep`
         join.emit(f"if not keep and {fast}:")
@@ -720,9 +784,10 @@ def _constraint_instances(stmt: Constraint | CardinalityRule, plan: _Plan) -> Ca
     join.emit("if key not in out:")
     join.emit("    out[key] = pos, neg")
     join.emit("    if not keep: file(key, pos, neg)")
-    return join.function("by_pred, base, out, router, keep", (
-        "id_of, special = router.symbols.id_of, router.symbols.special", "id_get, file = id_of.get, router.file",
-        "forbidden, partners, partner = router.forbidden, router.partners, router.partners.get"))
+    join.prologue += [
+        "id_of, special, bit, file = router.symbols.id_of, router.symbols.special, router.symbols.bits, router.file",
+        "forbidden, partners, partner = router.forbidden, router.partners, router.partners.get"]
+    return join.function("buckets, base, out, router, keep")
 
 
 def _count(join: _Join, stmt: CardinalityRule) -> None:
@@ -913,7 +978,7 @@ class _Skeleton:
 
     def __init__(self, facts: frozenset[GroundAtom], choices: list[GroundChoice], rules: list[GroundRule],
                  possible: frozenset[GroundAtom], symbols: Symbols, dependent: set[tuple[str, int]],
-                 base: set[GroundAtom], by_pred: dict[tuple[str, int], list[GroundAtom]],
+                 base: set[GroundAtom], buckets: _Buckets,
                  constraints: dict[tuple[Statement, str], tuple[Mapping[tuple, tuple], Route]] = FRESH):
         self.facts = facts
         self.choices = choices
@@ -922,7 +987,7 @@ class _Skeleton:
         self.symbols = symbols
         self.dependent = dependent
         self.base = base  # the atoms true in every model
-        self.by_pred = by_pred  # the possible atoms by predicate
+        self.buckets = buckets  # the possible atoms, as constraint joins walk them
         self.constraints = {} if constraints is FRESH else constraints
 
 
@@ -991,9 +1056,10 @@ def _ground_skeleton(key: tuple[tuple[Statement, str], ...]) -> _Skeleton:
     for _, _, residual_join in rules:
         residual_join(possible.by_pred, base.atoms, keyed_rules)
     ground_rules = list(keyed_rules.values())
+    symbols = Symbols(facts, choices, ground_rules)
 
     return _Skeleton(frozenset(facts), choices, ground_rules, frozenset(possible.atoms),
-                     Symbols(facts, choices, ground_rules), dependent, base.atoms, possible.by_pred)
+                     symbols, dependent, base.atoms, _Buckets(possible.by_pred, symbols.id_of))
 
 
 def _compile_statement(stmt: Constraint | CardinalityRule, skeleton: _Skeleton):
@@ -1004,9 +1070,9 @@ def _compile_statement(stmt: Constraint | CardinalityRule, skeleton: _Skeleton):
     plan = _Plan(stmt.body, skeleton.dependent, stmt.source_text)
     join = _constraint_instances(stmt, plan)
     router = _Router(skeleton.symbols)
-    join(skeleton.by_pred, skeleton.base, {}, router, False)
+    join(skeleton.buckets, skeleton.base, {}, router, False)
     route = Route(router.always_violated, frozenset(router.forbidden), router.partners, tuple(router.deferred))
-    return _Keyed(join, skeleton.by_pred, skeleton.base, skeleton.symbols), route
+    return _Keyed(join, skeleton.buckets, skeleton.base, skeleton.symbols), route
 
 
 class _Keyed(Mapping):
@@ -1019,8 +1085,8 @@ class _Keyed(Mapping):
 
     __slots__ = ("_args", "_dict", "_lock")
 
-    def __init__(self, join: Callable, by_pred, base, symbols: Symbols):
-        self._args = join, by_pred, base, symbols
+    def __init__(self, join: Callable, buckets: _Buckets, base, symbols: Symbols):
+        self._args = join, buckets, base, symbols
         self._dict: dict[tuple, tuple] | None = None
         self._lock = threading.Lock()
 
@@ -1033,9 +1099,9 @@ class _Keyed(Mapping):
         return self._dict
 
     def _build(self) -> dict[tuple, tuple]:
-        join, by_pred, base, symbols = self._args
+        join, buckets, base, symbols = self._args
         keyed: dict[tuple, tuple] = {}
-        join(by_pred, base, keyed, _Router(symbols), True)
+        join(buckets, base, keyed, _Router(symbols), True)
         return keyed
 
     def __getitem__(self, key: tuple) -> tuple:
@@ -1052,6 +1118,30 @@ class _Keyed(Mapping):
 
     def copy(self) -> dict[tuple, tuple]:  # a dict's copy, not one lookup per key
         return self._keyed.copy()
+
+
+class _Buckets:
+    """The possible atoms by predicate as constraint joins walk them, each
+    paired with its interned id, or None: in bucket order (`pairs`), and
+    grouped by their value at one argument position, each group in bucket
+    order (`by_value`, built on first use). None changes once built, so
+    threads share them; threads racing to build a grouping keep equal ones."""
+
+    __slots__ = ("pairs", "_by_value")
+
+    def __init__(self, by_pred: dict[tuple[str, int], list[GroundAtom]], id_of: dict[GroundAtom, int]):
+        id_get = id_of.get
+        self.pairs = {key: [(atom, id_get(atom)) for atom in atoms] for key, atoms in by_pred.items()}
+        self._by_value: dict[tuple[tuple[str, int], int], dict] = {}
+
+    def by_value(self, key: tuple[str, int], position: int) -> dict:
+        groups = self._by_value.get((key, position))
+        if groups is None:
+            groups = {}
+            for pair in self.pairs.get(key, ()):
+                groups.setdefault(pair[0].args[position], []).append(pair)
+            groups = self._by_value.setdefault((key, position), groups)
+        return groups
 
 
 class _Router:

@@ -74,16 +74,28 @@ def _ids(mask: int) -> list[int]:
     return ids
 
 
-_SET_FIRST = str.maketrans("01", "10")
+# each byte's bits in reverse order and inverted: bit 0 first, set before clear
+_SET_FIRST = bytes(int(f"{byte:08b}"[::-1], 2) ^ 0xFF for byte in range(256))
 
 
-def _order_key(mask: int) -> str:
-    """A key that sorts masks as their lists of sorted ids sort: bit i of
-    `mask` at index i, "0" where set and "1" where clear, ending at the
-    highest set bit. At the first index two keys differ, the mask holding
-    that id sorts first, unless the other mask has no id beyond it: then
-    the other's key is a prefix of this one, and sorts first."""
-    return bin(mask)[:1:-1].translate(_SET_FIRST) if mask else ""
+def _sorted_masks(masks: list[int], width: int) -> list[int]:
+    """`masks`, whose ids are all below `width`, sorted as their lists of
+    sorted ids sort. A mask's key reads its bits from bit 0 up, a set bit
+    before a clear one, with every bit above its highest id set, and then
+    its id count. Let d be the lowest bit two masks differ in, and A the
+    one holding it. When B has an id beyond d, A sorts first, as its list
+    does. When B has none, B's list is a prefix of A's: B's key sets every
+    bit from its highest id up, so it sorts first at the first bit A
+    clears, or ties there and sorts first by its count."""
+    size = (width + 7) // 8
+    full = (1 << 8 * size) - 1
+
+    def key(mask: int) -> bytes:
+        top = mask.bit_length()
+        return ((mask | full >> top << top).to_bytes(size, "little").translate(_SET_FIRST)
+                + mask.bit_count().to_bytes(4, "big"))
+
+    return sorted(masks, key=key)
 
 
 class Models(Sequence):
@@ -92,17 +104,19 @@ class Models(Sequence):
     `ground_atom_key` order, so models come sorted by their sorted atom
     keys. A memoized solve gives its count and the memo's root `record`
     instead: the first read walks it into masks and drops it, and a count
-    never walks. A model's GroundAtom set is built each time it is read.
-    Equal to a list or tuple of the same models in the same order."""
+    never walks. With `in_order`, the walk gives the masks sorted already.
+    A model's GroundAtom set is built each time it is read. Equal to a
+    list or tuple of the same models in the same order."""
 
-    __slots__ = ("_atom_of", "_masks", "_sorted", "_count", "_record")
+    __slots__ = ("_atom_of", "_masks", "_sorted", "_count", "_record", "_in_order")
 
     def __init__(self, atom_of: list[GroundAtom], masks: list[int], count: int | None = None,
-                 record: tuple[list, int, int] | None = None):
+                 record: tuple[list, int, int] | None = None, in_order: bool = False):
         self._atom_of = atom_of
         self._masks = masks
         self._count = len(masks) if count is None else count
         self._record = record  # (root record, facts mask, depth)
+        self._in_order = in_order
         self._sorted = False
 
     def _ordered(self) -> list[int]:
@@ -116,7 +130,7 @@ class Models(Sequence):
                 masks = []
                 _walk(*pending, masks, self._count)
                 del masks[self._count:]
-            self._masks = sorted(masks, key=_order_key)
+            self._masks = masks if self._in_order else _sorted_masks(masks, len(self._atom_of))
             self._sorted = True
             self._record = None
         return self._masks
@@ -161,8 +175,7 @@ class _Search:
         symbols = gp.symbols
         forbidden = frozenset().union(*(route.forbidden for route in gp.routes))
         live = [c for _, _, cands in symbols.groups for c in cands if c not in forbidden]
-        # [id]: the atom's bit, one int shared by every record that chooses it
-        self.bit = [1 << i for i in range(len(symbols.atom_of))]
+        self.bit = symbols.bits
         # [id]: the atom ids left open once that atom is chosen
         allowed = self.allowed = [-1] * len(symbols.atom_of)
         for route in gp.routes:
@@ -194,6 +207,14 @@ class _Search:
         # candidates, or None when a leaf can depend on more than its selection
         self.memo = (None if self.rules or self.deferred or self.check_bounds or not groups
                      else [{} for _ in groups])
+        # the memo's walk gives models sorted when every group selects one
+        # size and its candidates' ids exceed every earlier group's: two
+        # models then differ first in the group where their walk parts, and
+        # the one walked first holds the lowest id of the two selections'
+        # difference, while the other holds an id beyond it
+        earlier = itertools.accumulate((cands for _, _, cands in groups), int.__or__, initial=0)
+        self.walk_sorted = all(lower == upper and seen < cands & -cands
+                               for (lower, upper, cands), seen in zip(groups, earlier))
         self.cap = self.budget = 0
         self.total = 0  # the models counted so far
         self.found: set[int] = set()
@@ -209,7 +230,8 @@ class _Search:
             return Models(self.atom_of, list(self.found)), self.total <= cap
         # the memo goes with the search; Models keeps the records for a read
         depth = len(self.groups) - 1
-        return Models(self.atom_of, [], min(self.total, cap + 1), (record, self.facts, depth)), self.total <= cap
+        return Models(self.atom_of, [], min(self.total, cap + 1), (record, self.facts, depth),
+                      self.walk_sorted), self.total <= cap
 
     def node(self) -> None:
         if self.budget == 0:

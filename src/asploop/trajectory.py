@@ -13,6 +13,7 @@ import re
 from importlib import resources
 
 from .asp import parse_program
+from .asp.parser import _parse_whole
 from .gateway import SolverVerdict
 from .generators import Generator, GeneratorError, GeneratorTransportError, RawCompletion
 from .puzzles import PuzzleInstance
@@ -143,7 +144,8 @@ def extract_code(raw_completion: str) -> str:
     First fenced code block wins; failing that, a completion that already
     parses is returned unchanged, then line filtering keeps statement lines
     out of surrounding prose. Total: anything else comes back verbatim and
-    the solver reports the problem.
+    the solver reports the problem. Lines are parsed outside the block
+    cache, which a long prose completion would otherwise flush.
     """
     match = _FENCE.search(raw_completion)
     if match:
@@ -155,7 +157,7 @@ def extract_code(raw_completion: str) -> str:
     for line in raw_completion.splitlines():
         if not line.strip():
             continue
-        line_result = parse_program(line)
+        line_result = _parse_whole(line)
         if line_result.ok and line_result.statements:
             kept.append(line)
     if kept:

@@ -366,6 +366,97 @@ def test_routes_of_random_programs_and_reference_prefixes_match_routing_atom_by_
 
 
 # --------------------------------------------------------------------------
+# Indexed joins walk only the atoms a bound argument can match
+
+PINNED_RANDOM = Path(__file__).with_name("ground_random.json")
+
+
+def tattoo_parlor_statements():
+    """tattoo_parlor's skeleton, its pairwise statement, and its clue on
+    two atoms, each narrowed by a constant to 64 of the 256 atoms."""
+    blocks = fixtures.reference_blocks("tattoo_parlor")
+    base = statements(blocks.base)
+    skeleton = ground._ground_skeleton(tuple(
+        (s, s.source_text) for s in base if isinstance(s, (Fact, Rule, Choice))))
+    clue = next(stmt for hint in blocks.hints for stmt in statements(hint)
+                if stmt.source_text.startswith("{ Co1 = pink"))
+    return skeleton, base[-1], clue
+
+
+class Walked(list):
+    """A bucket that logs its length each time a loop walks it."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __iter__(self):
+        self.log.append(len(self))
+        return super().__iter__()
+
+
+def walked(skeleton, stmt):
+    """The length of each bucket that compiling `stmt` walks, in order."""
+    log, buckets = [], skeleton.buckets
+
+    class Logging(ground._Buckets):
+        def by_value(self, key, position):
+            return {value: Walked(group, log) for value, group in buckets.by_value(key, position).items()}
+
+    logging = Logging({}, {})
+    logging.pairs = {key: Walked(pairs, log) for key, pairs in buckets.pairs.items()}
+    ground._compile_statement(stmt, replace(skeleton, buckets=logging))
+    return log
+
+
+def test_a_join_walks_only_the_atoms_a_constant_or_a_bound_variable_matches():
+    skeleton, pairwise, clue = tattoo_parlor_statements()
+    # the 50s once, then the virgos once per match
+    assert walked(skeleton, clue) == [64] * 65
+    # the pisces once, then per match the atoms of its customer
+    bound, = statements(":- assignment(_, C, _, pisces), assignment(_, C, black, _).")
+    assert walked(skeleton, bound) == [64] * 65
+    # the two levels a symmetry swaps walk the whole bucket
+    assert ground._mirror(pairwise, ground._Plan(pairwise.body, skeleton.dependent, pairwise.source_text))
+    assert walked(skeleton, pairwise) == [256] * 257
+
+
+def test_an_indexed_join_counts_the_atoms_of_the_whole_bucket_against_the_budget(monkeypatch):
+    skeleton, _, clue = tattoo_parlor_statements()
+    # 256 atoms at level 0, and 256 at level 1 for each of the 64 matches,
+    # as a walk of the whole buckets tries them
+    tried = 256 + 64 * 256
+    monkeypatch.setattr(ground, "JOIN_BUDGET", tried)
+    ground._compile_statement(clue, skeleton)
+    monkeypatch.setattr(ground, "JOIN_BUDGET", tried - 1)
+    with pytest.raises(GroundingError, match=f"budget of {tried - 1} atoms tried in one join"):
+        ground._compile_statement(clue, skeleton)
+
+
+def test_arithmetic_before_a_bound_argument_keeps_the_level_unindexed():
+    # with X = a, q((1, 2), 1) raises at X - 1 before its X is tested, so
+    # its level may not skip the atoms whose second argument is not X
+    text, pinned = next((text, outcome) for text, outcome in json.loads(PINNED_RANDOM.read_text(encoding="utf-8"))
+                        if "q((Y, X - 1), X)" in text)
+    assert pinned.startswith("GroundingError: arithmetic over a symbolic constant")
+    assert ground_outcome(text) == "arithmetic over a symbolic constant"
+
+
+def test_indexing_changes_no_outcome(monkeypatch):
+    texts = [text for text, _ in json.loads(PINNED_RANDOM.read_text(encoding="utf-8"))]
+    texts += [fixtures.reference_blocks(instance.id).full_program for instance in fixtures.puzzles()]
+    ground._ground_skeleton.cache_clear()
+    indexed = [ground_outcome(text) for text in texts]
+    monkeypatch.setattr(ground, "_index_position", lambda args, bound: None)
+    try:
+        ground._ground_skeleton.cache_clear()
+        assert [ground_outcome(text) for text in texts] == indexed
+    finally:
+        monkeypatch.undo()
+        ground._ground_skeleton.cache_clear()
+
+
+# --------------------------------------------------------------------------
 # Generated join source holds no program text
 
 def generated_sources(monkeypatch, text):

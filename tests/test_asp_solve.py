@@ -733,6 +733,18 @@ def test_models_come_sorted_by_their_sorted_atom_keys(instance_id):
     assert models == sorted(models, key=lambda m: tuple(sorted(ground_atom_key(a) for a in m)))
 
 
+@pytest.mark.parametrize("instance_id, in_order", [("event_planning", True), ("tattoo_parlor", False)])
+def test_a_walk_that_gives_the_models_sorted_is_not_sorted_again(instance_id, in_order):
+    # event_planning's groups hold ascending ids, one event's assignments
+    # each; tattoo_parlor's group by the last argument, so their ids interleave
+    models, _ = enumerate_models(grounded(fixtures.reference_blocks(instance_id).base))
+    assert models._in_order is in_order
+    walked = []
+    solve._walk(*models._record, walked, len(models))
+    assert (walked == models.masks) is in_order
+    assert models.masks == sorted(walked, key=solve._ids)
+
+
 @given(st.lists(st.integers(0, 2**12 - 1), unique=True))
 def test_models_read_sorted_by_their_sorted_ids(masks):
     read = list(solve.Models(list(range(12)), masks))

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from asploop import fixtures
+from asploop.asp import parse_program
+from asploop.asp.parser import _parse_block
 from asploop.generators import (
     GeneratorError,
     GeneratorTransportError,
@@ -138,6 +140,22 @@ def test_extract_code_keeps_clean_completions():
 def test_extract_code_filters_prose_lines():
     raw = "The encoding is:\np(a).\nalso this line is prose\nq(b)."
     assert extract_code(raw) == "p(a).\nq(b)."
+
+
+def test_extract_code_leaves_the_block_cache_as_it_was():
+    # a long prose completion is filtered line by line outside the cache,
+    # so the blocks a program parsed before stay cached
+    program = fixtures.reference_blocks("event_planning").full_program
+    _parse_block.cache_clear()
+    parse_program(program)
+    before = _parse_block.cache_info()
+    prose = "\n".join(f"Line {i} of the answer explains nothing" for i in range(300))
+    assert extract_code(prose) == prose
+    assert extract_code(f"{prose}\np(a).") == "p(a)."
+    parse_program(program)
+    after = _parse_block.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 2, before.currsize + 2)
+    assert after.hits - before.hits == program.count("\n\n") + 1
 
 
 def test_extract_code_falls_back_to_verbatim():

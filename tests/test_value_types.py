@@ -141,7 +141,7 @@ SPECS = [
      (frozenset(), [GroundChoice(0, None, ())], [GroundRule(GA, (), ())], frozenset(), (), (), None,
       (Route(True, frozenset(), {}, ()),))),
     (_Skeleton, False,
-     ["facts", "choices", "rules", "possible", "symbols", "dependent", "base", "by_pred",
+     ["facts", "choices", "rules", "possible", "symbols", "dependent", "base", "buckets",
       opt("constraints", factory=dict)],
      (frozenset({GA}), [], [], frozenset({GA}), None, set(), {GA}, {}, {}),
      (frozenset(), [GroundChoice(0, None, ())], [GroundRule(GA, (), ())], frozenset(), "symbols",
